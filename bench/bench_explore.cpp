@@ -428,7 +428,7 @@ int main(int argc, char** argv) {
   std::cout << "\nReading: one packed arena word-block per configuration and\n"
             << "an open-addressing visited table (hash stored per slot, no\n"
             << "rehash on probe) carry the sequential rows; the parallel rows\n"
-            << "add work-stealing expansion over chunked id ranges with\n"
+            << "add work-stealing expansion over chunked id lists with\n"
             << "sharded dedup. Rows with more threads than cores measure\n"
             << "overhead, not speedup.\n";
   if (json.is_open()) {

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "util/require.hpp"
+
 namespace tsb::perturb {
 
 LLConfig ll_initial(const LongLivedObject& obj) {
@@ -41,6 +43,11 @@ LLConfig ll_step(const LongLivedObject& obj, const LLConfig& c, sim::ProcId p,
       next.completed[up] += 1;
       next.last_result[up] = op.value;
       next.states[up] = obj.after_complete(p, s);
+      break;
+    case sim::OpKind::kSwap:
+      // LongLivedObject has no after_swap: a swap cannot be stepped.
+      TSB_REQUIRE(op.kind != sim::OpKind::kSwap,
+                  "long-lived objects run on read/write registers");
       break;
   }
   if (trace != nullptr) trace->records.push_back(rec);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <thread>
 
 #include "obs/span.hpp"
@@ -25,7 +26,20 @@ inline void cpu_pause() {
 }
 
 inline void spin_lock(std::atomic_flag& f) {
-  while (f.test_and_set(std::memory_order_acquire)) cpu_pause();
+  // Spin on a plain load (the holder keeps its cache line), and yield now
+  // and then: when the scheduler stacks two workers on one CPU, a waiter
+  // that only pauses would burn its whole time slice while the holder
+  // sits preempted.
+  int spins = 0;
+  while (f.test_and_set(std::memory_order_acquire)) {
+    while (f.test(std::memory_order_relaxed)) {
+      if (++spins % 64 == 0) {
+        std::this_thread::yield();
+      } else {
+        cpu_pause();
+      }
+    }
+  }
 }
 
 inline void spin_unlock(std::atomic_flag& f) {
@@ -84,7 +98,7 @@ bool ParallelExplorer::Deque::pop(WorkItem& out) {
     spin_unlock(lock);
     return false;
   }
-  out = buf.back();
+  out = std::move(buf.back());
   buf.pop_back();
   if (top == buf.size()) {
     buf.clear();
@@ -100,7 +114,7 @@ bool ParallelExplorer::Deque::steal(WorkItem& out) {
     spin_unlock(lock);
     return false;
   }
-  out = buf[top++];
+  out = std::move(buf[top++]);
   if (top == buf.size()) {
     buf.clear();
     top = 0;
@@ -113,9 +127,9 @@ bool ParallelExplorer::Deque::steal(WorkItem& out) {
   return true;
 }
 
-void ParallelExplorer::Deque::push(WorkItem item) {
+void ParallelExplorer::Deque::push(WorkItem&& item) {
   spin_lock(lock);
-  buf.push_back(item);
+  buf.push_back(std::move(item));
   cap_bytes.store(buf.capacity() * sizeof(WorkItem),
                   std::memory_order_relaxed);
   spin_unlock(lock);
@@ -191,26 +205,37 @@ ParallelExplorer::ParallelExplorer(const Protocol& proto, Options opts)
       b.words.reserve(kBatch * W);
     }
     w.cur.resize(W);
+    // A chunk commits at most one child per (id, process) pair.
+    w.fresh.reserve(std::size_t{opts_.chunk_configs} *
+                    static_cast<std::size_t>(proto.num_processes()));
   }
 }
 
 ParallelExplorer::~ParallelExplorer() = default;
 
-std::size_t ParallelExplorer::tracked_bytes() const {
+std::size_t ParallelExplorer::frontier_bytes() const {
   const std::size_t W = arena_.words_per_config();
   // Staging buffers are bounded by their reserve; counting the bound keeps
   // this callable from any worker without touching vector internals that
   // another thread might be growing.
-  const std::size_t staging =
+  std::size_t bytes =
+      parent_.memory_bytes() +
       workers_.size() *
-      (kShards * kBatch * (W * sizeof(Value) + sizeof(Cand)) +
-       W * sizeof(Value));
-  std::size_t deque_bytes = 0;
+          (kShards * kBatch * (W * sizeof(Value) + sizeof(Cand)) +
+           W * sizeof(Value) +
+           std::size_t{opts_.chunk_configs} *
+               static_cast<std::size_t>(proto_.num_processes()) *
+               sizeof(ConfigId)) +
+      pending() * sizeof(ConfigId);
   for (const Deque& d : deques_) {
-    deque_bytes += d.cap_bytes.load(std::memory_order_relaxed);
+    bytes += d.cap_bytes.load(std::memory_order_relaxed);
   }
-  return arena_.memory_bytes() + parent_.memory_bytes() +
-         shard_bytes_.load(std::memory_order_relaxed) + staging + deque_bytes;
+  return bytes;
+}
+
+std::size_t ParallelExplorer::tracked_bytes() const {
+  return arena_.memory_bytes() + frontier_bytes() +
+         shard_bytes_.load(std::memory_order_relaxed);
 }
 
 void ParallelExplorer::update_ledger() const {
@@ -221,16 +246,7 @@ void ParallelExplorer::update_ledger() const {
     ledger.set(obs::MemAccount::kArenaSpill, arena_.spilled_bytes());
     ledger.set(obs::MemAccount::kArenaMapped, arena_.mapped_bytes());
   }
-  const std::size_t W = arena_.words_per_config();
-  std::size_t frontier =
-      parent_.memory_bytes() +
-      workers_.size() *
-          (kShards * kBatch * (W * sizeof(Value) + sizeof(Cand)) +
-           W * sizeof(Value));
-  for (const Deque& d : deques_) {
-    frontier += d.cap_bytes.load(std::memory_order_relaxed);
-  }
-  ledger.set(obs::MemAccount::kExploreFrontier, frontier);
+  ledger.set(obs::MemAccount::kExploreFrontier, frontier_bytes());
   ledger.set(obs::MemAccount::kExploreShards,
              shard_bytes_.load(std::memory_order_relaxed));
 }
@@ -294,13 +310,12 @@ void ParallelExplorer::flush_shard(WorkerCtx& w, int s) {
   b.words.clear();
 }
 
-void ParallelExplorer::publish_fresh(WorkerCtx& w, int self, VisitFn fn,
+void ParallelExplorer::publish_fresh(WorkerCtx& w, int self,
+                                     std::size_t expanded, VisitFn fn,
                                      void* vctx) {
-  if (w.fresh.empty()) return;
-  detail::ExploreMetrics& metrics = detail::explore_metrics();
-  metrics.visited.add(w.fresh.size());
-  w.visited_delta += w.fresh.size();
-  {
+  const std::size_t nfresh = w.fresh.size();
+  if (nfresh != 0) {
+    detail::explore_metrics().visited.add(nfresh);
     std::lock_guard<std::mutex> lk(visit_mu_);
     for (ConfigId id : w.fresh) {
       if (aborted_.load(std::memory_order_relaxed)) break;
@@ -314,38 +329,35 @@ void ParallelExplorer::publish_fresh(WorkerCtx& w, int self, VisitFn fn,
       }
     }
   }
-  if (!stopping()) {
-    // Coalesce into contiguous runs (ids from this worker's flushes are
-    // strictly increasing) and make them stealable. pending_ rises before
-    // the items become visible so the termination count never dips to
-    // zero with live work in a deque.
-    w.runs.clear();
-    ConfigId begin = w.fresh.front();
-    ConfigId prev = begin;
-    for (std::size_t i = 1; i < w.fresh.size(); ++i) {
-      const ConfigId id = w.fresh[i];
-      if (id != prev + 1) {
-        w.runs.push_back({begin, prev + 1});
-        begin = id;
-      }
-      prev = id;
+  if (stopping()) {
+    pending_.fetch_sub(static_cast<std::int64_t>(expanded));
+  } else {
+    // One update both counts the children and retires the expanded chunk,
+    // before any child list becomes stealable: the termination count never
+    // dips to zero with live work in a deque.
+    pending_.fetch_add(static_cast<std::int64_t>(nfresh) -
+                       static_cast<std::int64_t>(expanded));
+    for (std::size_t i = 0; i < nfresh; i += opts_.chunk_configs) {
+      const std::size_t len =
+          std::min<std::size_t>(opts_.chunk_configs, nfresh - i);
+      const auto first = w.fresh.begin() + static_cast<std::ptrdiff_t>(i);
+      deques_[static_cast<std::size_t>(self)].push(
+          WorkItem(first, first + static_cast<std::ptrdiff_t>(len)));
     }
-    w.runs.push_back({begin, prev + 1});
-    pending_.fetch_add(static_cast<std::int64_t>(w.fresh.size()));
-    for (const WorkItem& run : w.runs) deques_[self].push(run);
   }
   w.fresh.clear();
 }
 
-void ParallelExplorer::expand_chunk(WorkerCtx& w, WorkItem item, ProcSet p,
-                                    VisitFn fn, void* vctx) {
+void ParallelExplorer::expand_chunk(WorkerCtx& w, const WorkItem& item,
+                                    ProcSet p, VisitFn fn, void* vctx) {
   const std::size_t W = arena_.words_per_config();
   const int n = arena_.num_states();
   const int self = static_cast<int>(&w - workers_.data());
   static thread_local std::vector<Value> succ;
   if (succ.size() < W) succ.resize(W);
 
-  for (ConfigId cur = item.begin; cur < item.end && !stopping(); ++cur) {
+  for (std::size_t i = 0; i < item.size() && !stopping(); ++i) {
+    const ConfigId cur = item[i];
     // words() may hand back the thread-local decode buffer of a spilled
     // segment; copy so successor staging (which can itself decode other
     // spilled ids during dedup) cannot clobber the source.
@@ -364,10 +376,7 @@ void ParallelExplorer::expand_chunk(WorkerCtx& w, WorkItem item, ProcSet p,
       b.words.resize((k + 1) * W);
       std::memcpy(b.words.data() + k * W, succ.data(), W * sizeof(Value));
       b.meta.push_back(Cand{h, cur, q});
-      if (b.meta.size() >= kBatch) {
-        flush_shard(w, s);
-        publish_fresh(w, self, fn, vctx);
-      }
+      if (b.meta.size() >= kBatch) flush_shard(w, s);
     });
   }
   if (stopping()) {
@@ -377,11 +386,10 @@ void ParallelExplorer::expand_chunk(WorkerCtx& w, WorkItem item, ProcSet p,
     }
   } else {
     for (int s = 0; s < kShards; ++s) flush_shard(w, s);
-    publish_fresh(w, self, fn, vctx);
   }
-  // Only after this chunk's candidates are flushed and its children
-  // counted may the chunk leave the termination count.
-  pending_.fetch_sub(static_cast<std::int64_t>(item.end - item.begin));
+  // Ids committed before a stop are visited all the same: visited ==
+  // committed() on every run.
+  publish_fresh(w, self, item.size(), fn, vctx);
 }
 
 void ParallelExplorer::request_spill() {
@@ -463,7 +471,7 @@ void ParallelExplorer::worker_main(int t, ProcSet p, VisitFn fn, void* vctx,
     while (true) {
       if (stopping()) break;
       if (spill_.requested.load(std::memory_order_relaxed)) park_for_spill();
-      WorkItem item{};
+      WorkItem item;
       bool got = deques_[static_cast<std::size_t>(t)].pop(item);
       if (!got) {
         for (int i = 1; i < T; ++i) {
@@ -491,11 +499,6 @@ void ParallelExplorer::worker_main(int t, ProcSet p, VisitFn fn, void* vctx,
         continue;
       }
       backoff = 0;
-      if (item.end - item.begin > opts_.chunk_configs) {
-        deques_[static_cast<std::size_t>(t)].push(
-            {item.begin + opts_.chunk_configs, item.end});
-        item.end = item.begin + opts_.chunk_configs;
-      }
       expand_chunk(w, item, p, fn, vctx);
       const std::uint64_t chunks =
           w.chunks.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -533,7 +536,7 @@ void ParallelExplorer::worker_main(int t, ProcSet p, VisitFn fn, void* vctx,
       // polls stop once the pool takes over), then rendezvous so the write
       // happens with the whole explorer quiesced. Both calls are one or
       // two relaxed loads when checkpointing is not configured.
-      util::ckpt::CheckpointService::global().add_work(item.end - item.begin);
+      util::ckpt::CheckpointService::global().add_work(item.size());
       if (!stopping() && util::ckpt::CheckpointService::global().due()) {
         request_checkpoint();
       }
@@ -636,12 +639,10 @@ ParallelExplorer::Result ParallelExplorer::explore_impl(const Config& root,
       b.words.clear();
     }
     w.fresh.clear();
-    w.runs.clear();
     w.steals.store(0, std::memory_order_relaxed);
     w.steal_fails.store(0, std::memory_order_relaxed);
     w.idle_spins.store(0, std::memory_order_relaxed);
     w.chunks.store(0, std::memory_order_relaxed);
-    w.visited_delta = 0;
     w.dedup_delta = 0;
     w.dedup_run = 0;
   }
@@ -836,15 +837,17 @@ ParallelExplorer::Result ParallelExplorer::explore_impl(const Config& root,
   next_id_.store(arena_.size(), std::memory_order_relaxed);
 
   if (!warm_stopped && head < arena_.size()) {
-    // Hand the unexpanded tail to the pool: chunked round-robin across
-    // the worker deques, then steal-balance from there.
+    // Hand the unexpanded tail to the pool: id lists of chunk_configs,
+    // round-robin across the worker deques, then steal-balance from there.
     run_stats_.went_parallel = true;
     const ConfigId tail = static_cast<ConfigId>(arena_.size());
     pending_.store(static_cast<std::int64_t>(tail - head));
     std::size_t d = 0;
     for (ConfigId b = head; b < tail; b += opts_.chunk_configs) {
       const ConfigId e = std::min<ConfigId>(b + opts_.chunk_configs, tail);
-      deques_[d++ % deques_.size()].push({b, e});
+      WorkItem item(e - b);
+      std::iota(item.begin(), item.end(), b);
+      deques_[d++ % deques_.size()].push(std::move(item));
     }
     {
       std::lock_guard<std::mutex> lk(spill_.mu);

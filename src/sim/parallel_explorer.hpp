@@ -86,20 +86,26 @@ class ParentStore {
 /// idles every worker at each level tail, which is most of the wall clock
 /// on shallow-but-wide spaces). There are no levels and no barriers:
 ///
-///   * Work items are contiguous ConfigId ranges of freshly discovered
-///     configurations. Each worker owns a Chase-Lev-style deque — the
+///   * Work items are lists of up to Options::chunk_configs freshly
+///     discovered ConfigIds. Each worker owns a Chase-Lev-style deque — the
 ///     owner pushes and pops at the bottom, idle workers steal from the
 ///     top (here guarded by an uncontended per-deque spinlock rather than
 ///     the lock-free C11 protocol; the critical section is a couple of
-///     index updates, and every acquisition moves >= one chunk of work).
+///     index updates, and every acquisition moves one whole list).
 ///   * The visited set is sharded kShards ways by the top hash bits. A
 ///     worker expanding a chunk stages successors in per-shard batch
 ///     buffers and flushes a whole batch under one shard spinlock:
 ///     probe, allocate ids (one global fetch_add each), write words into
 ///     the shared segmented ConfigArena, record the parent edge, publish
-///     the slot. Batching amortizes the handoff that made the old design
-///     slower than sequential at small n. Shard tables and arena segments
-///     are allocated (first-touched) by the worker that grows them.
+///     the slot. Shard tables and arena segments are allocated
+///     (first-touched) by the worker that grows them.
+///   * Ids stay dense, but ids committed by different workers interleave,
+///     so a worker's new ids are not contiguous. The worker keeps every id
+///     its flushes commit during a chunk and, once the chunk is done,
+///     visits them under one visitor-lock hold and pushes them as lists of
+///     <= chunk_configs ids. Every per-chunk cost (deque traffic, the
+///     visitor lock, the termination count, budget and checkpoint polls)
+///     is therefore paid once per list, not once per configuration.
 ///   * Termination: a global count of discovered-but-unexpanded
 ///     configurations; a worker with an empty deque that fails to steal
 ///     exits when the count is zero (every item is counted from before it
@@ -130,7 +136,7 @@ class ParallelExplorer {
     int threads = 0;  ///< worker threads; 0 = hardware concurrency
     /// Same meaning as Explorer::Options::stats_min_visited.
     std::size_t stats_min_visited = 10'000;
-    /// Ids per stealable work chunk: the deque handoff granularity.
+    /// Most ids per stealable work item: the deque handoff granularity.
     std::uint32_t chunk_configs = 256;
     /// Stay on the sequential warm path until this many configurations
     /// are discovered; spaces smaller than this never touch the pool.
@@ -165,10 +171,18 @@ class ParallelExplorer {
   }
 
   /// Heap bytes this exploration owns: arena + parent edges + per-worker
-  /// staging buffers + deques + the sharded dedup tables. What
+  /// staging buffers + deques and their pending id lists + the sharded
+  /// dedup tables. What
   /// set_budget() caps and the ledger's explore.* accounts report. Safe
   /// to call from any thread mid-run (all inputs are atomics or stable).
   std::size_t tracked_bytes() const;
+
+  /// Discovered-but-unexpanded configurations right now; 0 after a
+  /// complete run. Safe to call from any thread, including a visitor.
+  std::size_t pending() const {
+    const std::int64_t v = pending_.load(std::memory_order_relaxed);
+    return v > 0 ? static_cast<std::size_t>(v) : 0;
+  }
 
   template <typename Visit>
   Result explore(const Config& root, ProcSet p, Visit&& visit) {
@@ -210,24 +224,23 @@ class ParallelExplorer {
 
   using VisitFn = bool (*)(void*, const ConfigView&);
 
-  /// A stealable range of discovered-but-unexpanded configuration ids.
-  struct WorkItem {
-    ConfigId begin = 0;
-    ConfigId end = 0;
-  };
+  /// A stealable list of <= chunk_configs discovered-but-unexpanded
+  /// configuration ids. Built at exact capacity, so the id storage of all
+  /// live items is pending_ * sizeof(ConfigId).
+  using WorkItem = std::vector<ConfigId>;
 
   /// Chase-Lev-style deque: owner pushes/pops the bottom (LIFO keeps the
-  /// owner in cache-warm ids), thieves take the top (oldest, largest
-  /// ranges first). A per-deque spinlock guards the index updates.
+  /// owner in cache-warm ids), thieves take the top (oldest items first).
+  /// A per-deque spinlock guards the index updates.
   struct alignas(64) Deque {
     std::atomic_flag lock = ATOMIC_FLAG_INIT;
     std::vector<WorkItem> buf;
     std::size_t top = 0;  ///< buf[top..) is live; buf.back() is the bottom
     std::atomic<std::size_t> cap_bytes{0};
 
-    bool pop(WorkItem& out);    // owner, bottom
-    bool steal(WorkItem& out);  // thief, top
-    void push(WorkItem item);   // owner, bottom
+    bool pop(WorkItem& out);     // owner, bottom
+    bool steal(WorkItem& out);   // thief, top
+    void push(WorkItem&& item);  // owner, bottom
     void clear();
   };
 
@@ -266,14 +279,12 @@ class ParallelExplorer {
   struct alignas(64) WorkerCtx {
     std::vector<Batch> batches;     ///< kShards staging buffers
     std::vector<Value> cur;         ///< copy of the config being expanded
-    std::vector<ConfigId> fresh;    ///< new ids from the last flush
-    std::vector<WorkItem> runs;     ///< coalesced fresh id ranges
+    std::vector<ConfigId> fresh;    ///< ids committed during this chunk
     // Owner-written, other-thread-read (periodic stats): relaxed atomics.
     std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> steal_fails{0};
     std::atomic<std::uint64_t> idle_spins{0};
     std::atomic<std::uint64_t> chunks{0};
-    std::uint64_t visited_delta = 0;  ///< owner-only metric staging
     std::uint64_t dedup_delta = 0;    ///< dedup hits not yet in the registry
     std::uint64_t dedup_run = 0;      ///< dedup hits this run (stats.done)
   };
@@ -293,13 +304,16 @@ class ParallelExplorer {
   Result explore_impl(const Config& root, ProcSet p, VisitFn fn, void* ctx);
   void worker_main(int t, ProcSet p, VisitFn fn, void* ctx,
                    obs::Heartbeat& hb);
-  void expand_chunk(WorkerCtx& w, WorkItem item, ProcSet p, VisitFn fn,
-                    void* vctx);
-  /// Flush one shard's staged batch; returns false when the run stopped
-  /// (truncation/abort) mid-flush.
+  void expand_chunk(WorkerCtx& w, const WorkItem& item, ProcSet p,
+                    VisitFn fn, void* vctx);
+  /// Flush one shard's staged batch, appending committed ids to w.fresh.
+  /// On reaching the cap it drops the rest of the batch and stops the run.
   void flush_shard(WorkerCtx& w, int s);
-  /// Visit + enqueue the ids flush_shard produced.
-  void publish_fresh(WorkerCtx& w, int self, VisitFn fn, void* vctx);
+  /// At chunk end: visit every id the chunk committed, then push them as
+  /// lists of <= chunk_configs ids and retire the chunk's `expanded` ids
+  /// from the termination count.
+  void publish_fresh(WorkerCtx& w, int self, std::size_t expanded,
+                     VisitFn fn, void* vctx);
   void request_spill();
   /// Stop-the-world rendezvous (same SpillSync protocol as request_spill)
   /// so the checkpoint service can run its serializer — or unwind a
@@ -311,6 +325,9 @@ class ParallelExplorer {
     return stop_.load(std::memory_order_relaxed);
   }
   void update_ledger() const;
+  /// Parent edges + staging buffers + deques + pending id lists: the
+  /// ledger's explore.frontier account.
+  std::size_t frontier_bytes() const;
   std::size_t committed() const;
 
   Shard& shard_of(std::uint64_t h) {
@@ -330,10 +347,12 @@ class ParallelExplorer {
   std::vector<WorkerCtx> workers_;
   util::WorkerPool pool_;
 
-  // Per-run shared state.
-  std::atomic<std::uint64_t> next_id_{0};
-  std::atomic<std::int64_t> pending_{0};
-  std::atomic<bool> stop_{false};
+  // Per-run shared state. The id counter and the termination count are
+  // written by every worker; each gets its own cache line so the flags
+  // polled per successor do not share one with them.
+  alignas(64) std::atomic<std::uint64_t> next_id_{0};
+  alignas(64) std::atomic<std::int64_t> pending_{0};
+  alignas(64) std::atomic<bool> stop_{false};
   std::atomic<bool> truncated_{false};
   std::atomic<bool> aborted_{false};
   std::atomic<bool> budget_exhausted_{false};

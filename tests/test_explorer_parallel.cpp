@@ -99,7 +99,7 @@ TEST(ParallelExplorer, MatchesSequentialOnBallotConsensus) {
   ASSERT_FALSE(expected.result.truncated);
   ASSERT_GT(expected.result.visited, 1000u);  // a real workload, not a toy
 
-  for (int threads : {2, 8}) {
+  for (int threads : {1, 2, 3, 4, 8}) {
     // Small chunks + a low threshold maximize steal traffic.
     ParallelExplorer par(proto, {.threads = threads,
                                  .chunk_configs = 16,
@@ -107,8 +107,68 @@ TEST(ParallelExplorer, MatchesSequentialOnBallotConsensus) {
     const SetSnapshot got = set_snapshot(proto, par, root, everyone);
     expect_same_set(expected, got);
     expect_no_duplicate_visits(got);
-    EXPECT_TRUE(par.last_run().went_parallel);
+    EXPECT_EQ(par.last_run().went_parallel, threads > 1);
   }
+}
+
+TEST(ParallelExplorer, ChunksCarryManyConfigs) {
+  // A work item is a list of the ids one chunk committed, so chunks stay
+  // near chunk_configs even though ids from different workers interleave.
+  // Handing out contiguous id ranges instead collapsed them to about one
+  // configuration each.
+  const int n = 4;
+  consensus::BallotConsensus proto(n, n);
+  const Config root = initial_config(proto, {0, 1, 0, 1});
+  const ProcSet everyone = ProcSet::first_n(n);
+
+  Explorer seq(proto);
+  const SetSnapshot expected = set_snapshot(proto, seq, root, everyone);
+  ASSERT_FALSE(expected.result.truncated);
+  ASSERT_GT(expected.result.visited, 100'000u);
+
+  ParallelExplorer par(proto, {.threads = 4});
+  const SetSnapshot got = set_snapshot(proto, par, root, everyone);
+  expect_same_set(expected, got);
+  ASSERT_TRUE(par.last_run().went_parallel);
+  EXPECT_GT(par.last_run().chunks, 0u);
+  EXPECT_LE(par.last_run().chunks * 16, got.result.visited)
+      << "chunks " << par.last_run().chunks;
+}
+
+TEST(ParallelExplorer, PendingIdListsCountTowardsTrackedBytes) {
+  // Pending work items hold their ids outside the deques' own buffers;
+  // the memory budget has to see them.
+  const int n = 4;
+  consensus::BallotConsensus proto(n, 2 * n);
+  const Config root = initial_config(proto, {0, 1, 0, 1});
+  const ProcSet everyone = ProcSet::first_n(n);
+
+  ParallelExplorer par(proto, {.max_configs = 300'000,
+                               .threads = 4,
+                               .parallel_threshold = 1024});
+  std::size_t visits = 0;
+  std::size_t max_pending = 0;
+  std::size_t violations = 0;
+  par.explore(root, everyone, [&](const ConfigView&) {
+    if ((++visits & 0x3FF) == 0) {
+      const std::size_t pending = par.pending();
+      max_pending = std::max(max_pending, pending);
+      if (par.tracked_bytes() < pending * sizeof(ConfigId)) ++violations;
+    }
+    return true;
+  });
+  EXPECT_EQ(violations, 0u);
+  EXPECT_GT(max_pending, 10'000u);  // the check above was not vacuous
+
+  // A budget far below the run's footprint still trips and stops the run
+  // cleanly.
+  par.set_budget(std::size_t{8} << 20,
+                 std::chrono::steady_clock::time_point::max());
+  const auto res = par.explore(root, everyone,
+                               [](const ConfigView&) { return true; });
+  EXPECT_TRUE(res.budget_exhausted);
+  EXPECT_TRUE(res.truncated);
+  EXPECT_LT(res.visited, 300'000u);
 }
 
 TEST(ParallelExplorer, MatchesSequentialOnProcessRestriction) {

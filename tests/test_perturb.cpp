@@ -3,6 +3,7 @@
 #include "perturb/counter.hpp"
 #include "perturb/perturbation.hpp"
 #include "perturb/snapshot.hpp"
+#include "util/require.hpp"
 
 namespace tsb::perturb {
 namespace {
@@ -49,6 +50,39 @@ TEST(LongLivedEngine, CoveredRegisterTracksPoisedWrites) {
             std::optional<sim::RegId>(0));
   c = ll_step(counter, c, 0);  // write done; poised to complete
   EXPECT_FALSE(ll_covered_register(counter, c, 0).has_value());
+}
+
+/// Every process is forever poised to swap register 0: outside the
+/// read/write model long-lived objects are defined for.
+class SwapPoisedObject final : public LongLivedObject {
+ public:
+  std::string name() const override { return "swap-poised"; }
+  int num_processes() const override { return 1; }
+  int num_registers() const override { return 1; }
+  sim::Value initial_register() const override { return 0; }
+  sim::State initial_state(sim::ProcId) const override { return 0; }
+  sim::PendingOp poised(sim::ProcId, sim::State) const override {
+    return sim::PendingOp::swap(0, 1);
+  }
+  sim::State after_read(sim::ProcId, sim::State s,
+                        sim::Value) const override {
+    return s;
+  }
+  sim::State after_write(sim::ProcId, sim::State s) const override {
+    return s;
+  }
+  sim::State after_complete(sim::ProcId, sim::State s) const override {
+    return s;
+  }
+};
+
+TEST(LongLivedEngine, SwapStepFailsLoudly) {
+  // There is no after_swap to compute the successor state, so stepping a
+  // swap must throw rather than silently leave the configuration as is.
+  SwapPoisedObject obj;
+  const LLConfig c = ll_initial(obj);
+  EXPECT_THROW(ll_step(obj, c, 0), util::RequirementFailed);
+  EXPECT_THROW(ll_run_ops(obj, c, 0, 1), util::RequirementFailed);
 }
 
 class SwmrCounterAdversary : public ::testing::TestWithParam<int> {};

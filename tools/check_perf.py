@@ -22,21 +22,17 @@ metric is compared:
   * improvements never fail, and `seconds` is reported but not gated
     (configs_per_sec already covers wall-clock, normalized by work done);
   * for the "explore" bench, every parallel row in the CURRENT run must
-    sustain at least TSB_PAR_FLOOR (default 0.75) times the same-n
-    sequential row's configs_per_sec — the work-stealing engine must never
-    make small-n exploration meaningfully slower than just not
-    parallelizing. The default is forgiving because both rows come from
-    one run on a possibly shared/noisy runner, where a transient stall in
-    either row is not a code regression; dedicated runners should set
-    TSB_PAR_FLOOR=0.9 to enforce the strict engineering target. Rows with
-    more threads than the machine has cores measure scheduling overhead by
-    design and are exempt.
+    sustain at least TSB_PAR_FLOOR (default 1.0) times the same-n
+    sequential row's configs_per_sec — a parallel row may not be slower
+    than not parallelizing at all. Rows with more threads than the
+    machine has cores measure scheduling overhead by design and are
+    exempt.
 
 A per-metric delta table (current vs baseline, % change) is printed on both
 pass and fail, so CI logs answer "how close was it?" without a rerun.
 
 Environment: TSB_PERF_TOLERANCE=<percent> overrides the 25% tolerance;
-TSB_PAR_FLOOR=<ratio> overrides the 0.75 parallel floor. Stdlib only — CI
+TSB_PAR_FLOOR=<ratio> overrides the 1.0 parallel floor. Stdlib only — CI
 has no pip.
 """
 
@@ -45,6 +41,8 @@ import os
 import sys
 
 ID_KEYS = ("n", "threads", "spill")
+# Parallel rows must reach this multiple of the sequential row's rate.
+DEFAULT_PAR_FLOOR = 1.0
 EXACT_KEYS = {
     "configs",
     "queries",
@@ -249,7 +247,7 @@ def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     tolerance = float(os.environ.get("TSB_PERF_TOLERANCE", "25"))
-    par_floor = float(os.environ.get("TSB_PAR_FLOOR", "0.75"))
+    par_floor = float(os.environ.get("TSB_PAR_FLOOR", DEFAULT_PAR_FLOOR))
     base_doc = load(sys.argv[1])
     cur_doc = load(sys.argv[2])
     rows, failures = compare(base_doc, cur_doc, tolerance)

@@ -116,6 +116,16 @@ class CompareTest(unittest.TestCase):
         self.assertIn("threads=2", failures[0])
         self.assertIn("slower than not parallelizing", failures[0])
 
+    def test_parallel_floor_default_rejects_any_slowdown(self):
+        cur = {"bench": "explore", "rows": [
+            {"n": 4, "threads": 1, "configs_per_sec": 1000.0},
+            {"n": 4, "threads": 2, "configs_per_sec": 950.0},
+        ]}
+        failures = check_perf.parallel_floor_failures(
+            cur, check_perf.DEFAULT_PAR_FLOOR, cpu_count=8)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("threads=2", failures[0])
+
     def test_parallel_floor_exempts_oversubscribed_rows(self):
         # threads > cores measures scheduling overhead by design.
         cur = {"bench": "explore", "rows": [
