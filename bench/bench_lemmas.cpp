@@ -1,17 +1,21 @@
 // Experiment E3 — cost profile of the lemma machinery: how much search the
 // constructive proofs actually perform at each system size (Lemma 1/3/4
 // invocations, D_i chain lengths, valency queries and cache behaviour,
-// shared-subgraph reuse, schedule lengths).
+// shared-subgraph reuse and expansion throughput, schedule lengths). Each
+// row is the median wall clock of three identical campaigns, whose counts
+// must agree.
 //
 // Usage: bench_lemmas [--no-reuse] [--json=FILE] [max_n]
 //   --no-reuse   run the oracle's fresh-BFS-per-query backend (A/B anchor)
 //   --json=FILE  machine-readable per-n rows for tools/check_perf.py
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bound/adversary.hpp"
 #include "consensus/ballot.hpp"
@@ -20,6 +24,55 @@
 #include "util/table.hpp"
 
 using namespace tsb;
+
+namespace {
+
+// Every row is timed as the median of this many identical campaigns.
+constexpr int kRepeats = 3;
+
+struct Timed {
+  bound::SpaceBoundAdversary::Result result;  ///< the last repeat's
+  double seconds = 0;        ///< median wall clock over the repeats
+  bool repeatable = true;    ///< every repeat produced the same counts
+};
+
+/// The deterministic counts check_perf.py gates exactly.
+bool same_counts(const bound::SpaceBoundAdversary::Result& a,
+                 const bound::SpaceBoundAdversary::Result& b) {
+  return a.ok == b.ok && a.valency_queries == b.valency_queries &&
+         a.valency_cache_hits == b.valency_cache_hits &&
+         a.reach_expanded == b.reach_expanded &&
+         a.reach_reused == b.reach_reused &&
+         a.certificate.schedule.size() == b.certificate.schedule.size();
+}
+
+Timed run_timed(const sim::Protocol& proto,
+                const bound::SpaceBoundAdversary::Options& opts) {
+  Timed t;
+  std::vector<double> secs;
+  for (int i = 0; i < kRepeats; ++i) {
+    bound::SpaceBoundAdversary adversary(proto, opts);
+    const auto t0 = std::chrono::steady_clock::now();
+    auto result = adversary.run();
+    secs.push_back(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count());
+    if (i > 0 && !same_counts(result, t.result)) t.repeatable = false;
+    t.result = std::move(result);
+    if (!t.result.ok) break;
+  }
+  std::sort(secs.begin(), secs.end());
+  t.seconds = secs[secs.size() / 2];
+  return t;
+}
+
+double percent(std::uint64_t part, std::uint64_t whole) {
+  return whole == 0 ? 0.0
+                    : 100.0 * static_cast<double>(part) /
+                          static_cast<double>(whole);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   bool reuse = true;
@@ -42,11 +95,11 @@ int main(int argc, char** argv) {
   std::cout << "E3: work performed by the constructive lemmas per system\n"
             << "size (ballot protocol; caps as in E1; "
             << (reuse ? "shared-subgraph engine" : "fresh-BFS backend")
-            << ").\n\n";
+            << "; seconds = median of " << kRepeats << " runs).\n\n";
 
   util::Table table({"n", "spill", "lemma1", "lemma3", "lemma4", "Di stages",
                      "escapes", "queries", "hit rate %", "expanded",
-                     "reused", "reuse %", "facts", "subsumed", "cert steps",
+                     "reused", "reuse %", "expanded/s", "cert steps",
                      "seconds"});
   std::ofstream json;
   if (!json_file.empty()) {
@@ -60,37 +113,55 @@ int main(int argc, char** argv) {
   }
   bool first_row = true;
 
+  // One table row and one JSON row per measured campaign.
+  const auto emit = [&](int n, int spill, const Timed& t, double hit_rate,
+                        double reuse_rate) {
+    const auto& r = t.result;
+    const auto& ls = r.lemma_stats;
+    const double eps = t.seconds > 0
+                           ? static_cast<double>(r.reach_expanded) / t.seconds
+                           : 0.0;
+    table.row(n, spill, ls.lemma1_calls, ls.lemma3_calls, ls.lemma4_calls,
+              ls.total_di_stages, ls.solo_escapes, r.valency_queries,
+              hit_rate, r.reach_expanded, r.reach_reused, reuse_rate, eps,
+              r.certificate.schedule.size(), t.seconds);
+    if (!json.is_open()) return;
+    if (!first_row) json << ",";
+    first_row = false;
+    json << "{\"n\":" << n << ",\"spill\":" << spill
+         << ",\"queries\":" << r.valency_queries
+         << ",\"cache_hits\":" << r.valency_cache_hits
+         << ",\"hit_rate\":" << hit_rate
+         << ",\"expanded\":" << r.reach_expanded
+         << ",\"reused\":" << r.reach_reused
+         << ",\"reuse_rate\":" << reuse_rate
+         << ",\"expanded_per_sec\":" << eps;
+    if (spill != 0) json << ",\"graph_spill\":" << r.graph_spilled_bytes;
+    json << ",\"cert_steps\":" << r.certificate.schedule.size()
+         << ",\"seconds\":" << t.seconds << "}";
+  };
+
   for (int n = 2; n <= max_n; ++n) {
     const int cap = n <= 4 ? 2 * n : 3 * n;
     consensus::BallotConsensus proto(n, cap);
-    bound::SpaceBoundAdversary adversary(proto, {.reuse = reuse});
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto result = adversary.run();
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    bound::SpaceBoundAdversary::Options opts;
+    opts.reuse = reuse;
+    const Timed resident = run_timed(proto, opts);
+    const auto& result = resident.result;
     if (!result.ok) {
       std::cout << "n = " << n << " FAILED: " << result.error << "\n";
       continue;
     }
-    const auto& ls = result.lemma_stats;
-    const double hit_rate =
-        result.valency_queries == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(result.valency_cache_hits) /
-                  static_cast<double>(result.valency_queries);
-    const double traversals =
-        static_cast<double>(result.reach_expanded + result.reach_reused);
-    const double reuse_rate =
-        traversals > 0
-            ? 100.0 * static_cast<double>(result.reach_reused) / traversals
-            : 0.0;
-    table.row(n, 0, ls.lemma1_calls, ls.lemma3_calls, ls.lemma4_calls,
-              ls.total_di_stages, ls.solo_escapes, result.valency_queries,
-              hit_rate, result.reach_expanded, result.reach_reused,
-              reuse_rate, result.reach_fact_answers,
-              result.reach_fact_subsumed, result.certificate.schedule.size(),
-              secs);
+    if (!resident.repeatable) {
+      std::cout << "FAIL: n = " << n
+                << " deterministic counts differ between repeated runs\n";
+      rc = 1;
+    }
+    const double hit_rate = percent(result.valency_cache_hits,
+                                    result.valency_queries);
+    const double reuse_rate = percent(
+        result.reach_reused, result.reach_expanded + result.reach_reused);
+    emit(n, 0, resident, hit_rate, reuse_rate);
     // The oracle shares one exploration between both values of a (C, P)
     // pair, so the lemma machinery's bivalence/univalence probes (two
     // queries on the same pair) hit the cache on their second query; only
@@ -110,33 +181,6 @@ int main(int argc, char** argv) {
                 << " shared-subgraph engine reused zero stored edges\n";
       rc = 1;
     }
-    // The peel loops probe strictly shrinking ProcSets at shared roots, so
-    // once fact subsumption lets a superset's stored negative answer a
-    // subset query, whole pair computations resolve from facts. The first
-    // campaign deep enough to revisit a canonical node with a smaller
-    // ProcSet after an exhausted superset pass is n = 5 (n = 4 runs 73
-    // queries and never does); zero there means the subsuming lookup
-    // regressed to exact-key-only.
-    if (reuse && n >= 5 && result.reach_fact_answers == 0) {
-      std::cout << "FAIL: n = " << n
-                << " persisted facts answered zero pair computations\n";
-      rc = 1;
-    }
-    if (json.is_open()) {
-      if (!first_row) json << ",";
-      first_row = false;
-      json << "{\"n\":" << n << ",\"spill\":0"
-           << ",\"queries\":" << result.valency_queries
-           << ",\"cache_hits\":" << result.valency_cache_hits
-           << ",\"hit_rate\":" << hit_rate
-           << ",\"expanded\":" << result.reach_expanded
-           << ",\"reused\":" << result.reach_reused
-           << ",\"reuse_rate\":" << reuse_rate
-           << ",\"fact_answers\":" << result.reach_fact_answers
-           << ",\"fact_subsumed\":" << result.reach_fact_subsumed
-           << ",\"cert_steps\":" << result.certificate.schedule.size()
-           << ",\"seconds\":" << secs << "}";
-    }
 
     // Forced-spill leg: same campaign with the node arena AND the edge
     // stores pushed out of core on tiny segments. Spilling is a memory
@@ -145,26 +189,18 @@ int main(int argc, char** argv) {
     // if edges actually left RAM (graph_spill > 0, gated by
     // tools/check_perf.py).
     if (reuse && n >= 4) {
-      bound::SpaceBoundAdversary spilled_adv(
-          proto, {.reuse = reuse,
-                  .spill_threshold_bytes = 64 * 1024,
-                  .spill_seg_configs = 512});
-      const auto s0 = std::chrono::steady_clock::now();
-      const auto spilled = spilled_adv.run();
-      const double ssecs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - s0)
-              .count();
+      bound::SpaceBoundAdversary::Options sopts = opts;
+      sopts.spill_threshold_bytes = 64 * 1024;
+      sopts.spill_seg_configs = 512;
+      const Timed spilled_run = run_timed(proto, sopts);
+      const auto& spilled = spilled_run.result;
       if (!spilled.ok) {
         std::cout << "n = " << n << " (spill) FAILED: " << spilled.error
                   << "\n";
         rc = 1;
         continue;
       }
-      if (spilled.valency_queries != result.valency_queries ||
-          spilled.reach_expanded != result.reach_expanded ||
-          spilled.reach_fact_answers != result.reach_fact_answers ||
-          spilled.certificate.schedule.size() !=
-              result.certificate.schedule.size()) {
+      if (!spilled_run.repeatable || !same_counts(spilled, result)) {
         std::cout << "FAIL: n = " << n
                   << " forced-spill run diverged from the resident run\n";
         rc = 1;
@@ -174,38 +210,10 @@ int main(int argc, char** argv) {
                   << " forced-spill run never pushed edge bytes to disk\n";
         rc = 1;
       }
-      const double shit_rate =
-          spilled.valency_queries == 0
-              ? 0.0
-              : 100.0 * static_cast<double>(spilled.valency_cache_hits) /
-                    static_cast<double>(spilled.valency_queries);
-      const double straversals =
-          static_cast<double>(spilled.reach_expanded + spilled.reach_reused);
-      const double sreuse_rate =
-          straversals > 0
-              ? 100.0 * static_cast<double>(spilled.reach_reused) / straversals
-              : 0.0;
-      const auto& sls = spilled.lemma_stats;
-      table.row(n, 1, sls.lemma1_calls, sls.lemma3_calls, sls.lemma4_calls,
-                sls.total_di_stages, sls.solo_escapes, spilled.valency_queries,
-                shit_rate, spilled.reach_expanded, spilled.reach_reused,
-                sreuse_rate, spilled.reach_fact_answers,
-                spilled.reach_fact_subsumed,
-                spilled.certificate.schedule.size(), ssecs);
-      if (json.is_open()) {
-        json << ",{\"n\":" << n << ",\"spill\":1"
-             << ",\"queries\":" << spilled.valency_queries
-             << ",\"cache_hits\":" << spilled.valency_cache_hits
-             << ",\"hit_rate\":" << shit_rate
-             << ",\"expanded\":" << spilled.reach_expanded
-             << ",\"reused\":" << spilled.reach_reused
-             << ",\"reuse_rate\":" << sreuse_rate
-             << ",\"fact_answers\":" << spilled.reach_fact_answers
-             << ",\"fact_subsumed\":" << spilled.reach_fact_subsumed
-             << ",\"graph_spill\":" << spilled.graph_spilled_bytes
-             << ",\"cert_steps\":" << spilled.certificate.schedule.size()
-             << ",\"seconds\":" << ssecs << "}";
-      }
+      emit(n, 1, spilled_run,
+           percent(spilled.valency_cache_hits, spilled.valency_queries),
+           percent(spilled.reach_reused,
+                   spilled.reach_expanded + spilled.reach_reused));
     }
   }
   table.print(std::cout, "lemma machinery cost profile");

@@ -233,8 +233,6 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
   out.valency_cache_hits = oracle.cache_hits();
   out.reach_expanded = oracle.edges_expanded();
   out.reach_reused = oracle.edges_reused();
-  out.reach_fact_answers = oracle.fact_answers();
-  out.reach_fact_subsumed = oracle.fact_subsumed();
   out.reach_graph_nodes = oracle.graph_nodes();
   out.graph_spilled_bytes = oracle.graph_spilled_bytes();
   out.narrative = lemmas.narrative();
@@ -244,8 +242,6 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
   reg.counter("bound.valency_cache_hits").add(out.valency_cache_hits);
   reg.counter("bound.reach_expanded").add(out.reach_expanded);
   reg.counter("bound.reach_reused").add(out.reach_reused);
-  reg.counter("bound.reach_fact_answers").add(out.reach_fact_answers);
-  reg.counter("bound.reach_fact_subsumed").add(out.reach_fact_subsumed);
   reg.counter("bound.reach_graph_nodes").add(out.reach_graph_nodes);
   reg.counter("bound.lemma1_calls").add(out.lemma_stats.lemma1_calls);
   reg.counter("bound.lemma3_calls").add(out.lemma_stats.lemma3_calls);

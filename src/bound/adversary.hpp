@@ -77,8 +77,6 @@ class SpaceBoundAdversary {
     // Shared-subgraph engine statistics (all zero with Options::reuse off).
     std::uint64_t reach_expanded = 0;   ///< protocol steps actually paid
     std::uint64_t reach_reused = 0;     ///< stored edges walked instead
-    std::uint64_t reach_fact_answers = 0;  ///< queries settled by facts alone
-    std::uint64_t reach_fact_subsumed = 0;  ///< superset negatives transferred
     std::size_t reach_graph_nodes = 0;  ///< projected configs interned
     std::size_t graph_spilled_bytes = 0;  ///< edge bytes on disk at finish
     std::string narrative;  ///< populated when Options::narrative

@@ -122,8 +122,8 @@ const ValencyOracle::PairAnswer& ValencyOracle::lookup(const Config& c,
     // Memoize on the canonical projected (config, ProcSet-orbit, ambient)
     // triple, so any two queries the engine cannot distinguish — same
     // P-states, registers, frozen-process decide bits — share one entry;
-    // audit ids stay in the roots_ space above. Ambient rides in bits the
-    // P mask can never reach (n <= 28 whenever facts/ambient are live).
+    // audit ids stay in the roots_ space above. Ambient rides in bits
+    // 60-61, above the P mask of any protocol with at most 60 processes.
     const sim::ReachGraph::Node node = graph_->intern_node(c, p, &last_perm_);
     key = PairKey{node.id,
                   node.pbits | (static_cast<std::uint64_t>(node.ambient) << 60)};
@@ -199,13 +199,11 @@ ValencyOracle::PairAnswer ValencyOracle::compute_pair_shared(const Config& c,
         .num("expanded", static_cast<std::int64_t>(qr.expanded))
         .num("reused", static_cast<std::int64_t>(qr.reused))
         .num("visited", static_cast<std::int64_t>(qr.visited))
-        .boolean("from_facts", qr.from_facts)
         .boolean("truncated", qr.truncated)
         .boolean("can0", qr.can[0])
         .boolean("can1", qr.can[1])
         .boolean("replay_ok", replay_ok)
-        .num("graph_nodes", static_cast<std::int64_t>(graph_->nodes()))
-        .num("facts", static_cast<std::int64_t>(graph_->fact_entries()));
+        .num("graph_nodes", static_cast<std::int64_t>(graph_->nodes()));
     obs::stats_sink().write(rec.render());
     if (graph_->symmetric()) {
       obs::JsonObj orb;

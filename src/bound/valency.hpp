@@ -34,11 +34,9 @@ using sim::Value;
 ///    (sim::ReachGraph), which explores the *projection* of the
 ///    configuration onto (P-states, registers, ambient decide bits) — the
 ///    exact quantities P-only dynamics and Definition 1 verdicts depend
-///    on. Successor edges expand at most once per session, queries consume
-///    previously expanded subgraphs, exhaustive passes persist per-node
-///    decided-value facts that answer later queries without any expansion,
-///    and symmetric protocols are additionally quotiented by process
-///    renaming. The memo keys on the canonical projected
+///    on. Successor edges expand at most once per session, queries walk
+///    previously expanded subgraphs over their stored edges, and symmetric
+///    protocols are additionally quotiented by process renaming. The memo keys on the canonical projected
 ///    (ConfigId, ProcSet-orbit, ambient) triple, so any two queries the
 ///    projection cannot distinguish share one entry — including the lemma
 ///    peel loops' neighbours, whose roots differ only in frozen-process
@@ -128,10 +126,10 @@ class ValencyOracle {
   Value some_decidable(const Config& c, ProcSet p);
 
   /// A P-only schedule from C in which v is decided (witness for
-  /// can_decide). With reuse = false this is the BFS-first deciding
-  /// configuration's discovery path; with reuse = true it is the engine's
-  /// (possibly fact-chased) witness, de-canonicalized into the caller's
-  /// process ids and replay-verified before memoization.
+  /// can_decide): the BFS-first deciding configuration's discovery path.
+  /// With reuse = true it is the engine's canonical-frame path,
+  /// de-canonicalized into the caller's process ids and replay-verified
+  /// before memoization.
   std::optional<Schedule> deciding_schedule(const Config& c, ProcSet p,
                                             Value v);
 
@@ -156,15 +154,6 @@ class ValencyOracle {
   std::uint64_t edges_reused() const {
     return graph_ ? graph_->edges_reused() : 0;
   }
-  /// Pair computations answered entirely from persisted facts.
-  std::uint64_t fact_answers() const {
-    return graph_ ? graph_->fact_answers() : 0;
-  }
-  /// Pair computations where a superset projection's stored negative
-  /// transferred to the query's strictly smaller ProcSet at the root.
-  std::uint64_t fact_subsumed() const {
-    return graph_ ? graph_->fact_subsumed() : 0;
-  }
   /// Edge-store spill accounting (0 unless graph spilling is armed).
   std::size_t graph_spilled_bytes() const {
     return graph_ ? graph_->edge_spilled_bytes() : 0;
@@ -176,9 +165,6 @@ class ValencyOracle {
     return graph_ ? graph_->edge_faulted_in() : 0;
   }
   std::size_t graph_nodes() const { return graph_ ? graph_->nodes() : 0; }
-  std::size_t fact_entries() const {
-    return graph_ ? graph_->fact_entries() : 0;
-  }
   /// True when the engine runs in symmetry-quotient mode.
   bool engine_symmetric() const { return graph_ && graph_->symmetric(); }
 

@@ -23,8 +23,9 @@ enum class MemAccount : int {
   kReachEdges,       ///< shared reach graph: succ/perm edges + decide flags
   kGraphSpill,       ///< compressed bytes in edge-store spill backing files
   kGraphMapped,      ///< mmap'd (clean, file-backed) edge spill block bytes
-  kReachFacts,       ///< shared reach graph: persisted fact map
-  kReachQuery,       ///< shared reach graph: per-query entry/edge/mark state
+  kReachFacts,       ///< retired (the reach graph's fact map); always 0,
+                     ///< kept so the account list and its names stay stable
+  kReachQuery,       ///< shared reach graph: per-query entry/mark state
   kValencyMemo,      ///< valency oracle: pair memo + root-id arena
   kCkptState,        ///< last checkpoint state file's on-disk bytes
   kCount

@@ -14,7 +14,10 @@ namespace detail {
 // The assigned-id fast path lives in the header: counting happens inside
 // operations that cost a handful of nanoseconds, so the id lookup cannot
 // afford an out-of-line call.
-extern thread_local int tls_thread_id;
+// constinit tells every includer the variable is constant-initialized, so
+// reads skip the TLS wrapper call and its weak init-function probe (which
+// UBSan reports as a null-pointer load).
+extern constinit thread_local int tls_thread_id;
 int assign_thread_id();
 }  // namespace detail
 

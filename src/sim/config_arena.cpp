@@ -61,19 +61,15 @@ ConfigArena::ConfigArena(int num_states, int num_regs)
 }
 
 ConfigArena::~ConfigArena() {
-  for (auto& s : segs_) {
-    release_map(*s);
-    delete[] s->data;
-  }
+  for (auto& s : segs_) release_map(*s);
 }
 
 void ConfigArena::alloc_seg_data(Seg& s) {
-  // Flat, uninitialized block (geas Vec idiom): pages are first touched by
-  // the thread that writes configurations into them, which on a NUMA box
+  // Flat block (geas Vec idiom) whose pages are first touched by the
+  // thread that writes configurations into them, which on a NUMA box
   // places each shard-flush's output near the worker that produced it.
-  s.data = new Value[seg_configs_ * words_];
-  resident_words_bytes_.fetch_add(seg_configs_ * words_ * sizeof(Value),
-                                  std::memory_order_relaxed);
+  s.data = util::HugeArray<Value>(seg_configs_ * words_);
+  resident_words_bytes_.fetch_add(seg_bytes(), std::memory_order_relaxed);
 }
 
 void ConfigArena::add_segment() {
@@ -108,11 +104,11 @@ void ConfigArena::ensure_capacity(std::size_t up_to) {
 
 void ConfigArena::clear() {
   count_ = 0;
-  for (Slot& s : table_) s = Slot{};
+  std::memset(table_.data(), 0, table_bytes());
   if (spilled_segments_ != 0 || spill_file_.end_offset() != 0) {
     for (auto& s : segs_) {
       release_map(*s);
-      if (s->data == nullptr) alloc_seg_data(*s);  // was spilled; re-arm
+      if (!s->data) alloc_seg_data(*s);  // was spilled; re-arm
     }
     spill_file_.truncate();
     first_resident_seg_ = 0;
@@ -143,7 +139,7 @@ void ConfigArena::grow_table() {
   // entry's new bucket is a prefix of its stored tag, so nothing is
   // rehashed and the word store is never touched. The only random access
   // is the destination write, which the lookahead prefetch below covers.
-  std::vector<Slot> bigger(table_.size() * 2);
+  util::HugeArray<Slot> bigger(table_.size() * 2);  // zero = all empty
   const std::size_t mask = bigger.size() - 1;
   const int shift = shift_ - 1;
   const int tag_shift = shift - 32;  // >= 0 while the table has < 2^32 slots
@@ -152,15 +148,15 @@ void ConfigArena::grow_table() {
   for (std::size_t j = 0; j < nslots; ++j) {
     if (j + kAhead < nslots) {
       const Slot& a = table_[j + kAhead];
-      if (a.id != kNoConfig) {
+      if (!a.empty()) {
         __builtin_prefetch(
             bigger.data() + (static_cast<std::size_t>(a.tag) >> tag_shift), 1);
       }
     }
     const Slot& s = table_[j];
-    if (s.id == kNoConfig) continue;
+    if (s.empty()) continue;
     std::size_t i = static_cast<std::size_t>(s.tag) >> tag_shift;
-    while (bigger[i].id != kNoConfig) i = (i + 1) & mask;
+    while (!bigger[i].empty()) i = (i + 1) & mask;
     bigger[i] = s;
   }
   table_ = std::move(bigger);
@@ -190,13 +186,13 @@ ConfigArena::Interned ConfigArena::intern_prehashed(const Value* w,
   std::size_t i = h >> shift_;
   while (true) {
     Slot& s = table_[i];
-    if (s.id == kNoConfig) {
+    if (s.empty()) {
       const ConfigId id = append_words(w);
       s.tag = tag;
-      s.id = id;
+      s.nid = ~id;
       return {id, true};
     }
-    if (s.tag == tag && words_equal(words(s.id), w)) return {s.id, false};
+    if (s.tag == tag && words_equal(words(s.id()), w)) return {s.id(), false};
     i = (i + 1) & mask_;
   }
 }
@@ -207,8 +203,8 @@ ConfigId ConfigArena::find(const Value* w) const {
   std::size_t i = h >> shift_;
   while (true) {
     const Slot& s = table_[i];
-    if (s.id == kNoConfig) return kNoConfig;
-    if (s.tag == tag && words_equal(words(s.id), w)) return s.id;
+    if (s.empty()) return kNoConfig;
+    if (s.tag == tag && words_equal(words(s.id()), w)) return s.id();
     i = (i + 1) & mask_;
   }
 }
@@ -225,10 +221,7 @@ bool ConfigArena::set_spill(const std::string& dir,
   spill_file_.close();
   // Segment geometry may change below; drop any allocations from a prior
   // run (set_spill is a per-run reconfiguration, not a hot path).
-  for (auto& s : segs_) {
-    release_map(*s);
-    delete[] s->data;
-  }
+  for (auto& s : segs_) release_map(*s);
   segs_.clear();
   seg_count_.store(0, std::memory_order_relaxed);
   resident_words_bytes_.store(0, std::memory_order_relaxed);
@@ -262,17 +255,15 @@ bool ConfigArena::spill_segment(Seg& s) {
   // CI fault matrix can inject ENOSPC/short-write/EINTR here); pwrite_full
   // owns the EINTR and short-write retry loop.
   std::vector<std::uint8_t> block;
-  util::spill::encode_block<Value>(s.data, seg_configs_, words_, block);
+  util::spill::encode_block<Value>(s.data.data(), seg_configs_, words_, block);
   util::spill::BackingFile::Block blk;
   if (!spill_file_.append(block.data(), block.size(), blk)) {
     ++spill_failures_;
     return false;
   }
   s.blk = blk;
-  delete[] s.data;
-  s.data = nullptr;
-  resident_words_bytes_.fetch_sub(seg_configs_ * words_ * sizeof(Value),
-                                  std::memory_order_relaxed);
+  s.data.reset();
+  resident_words_bytes_.fetch_sub(seg_bytes(), std::memory_order_relaxed);
   spilled_bytes_.fetch_add(blk.bytes, std::memory_order_relaxed);
   mapped_bytes_.fetch_add(blk.map_len, std::memory_order_relaxed);
   ++spilled_segments_;
@@ -281,7 +272,6 @@ bool ConfigArena::spill_segment(Seg& s) {
 
 std::size_t ConfigArena::maybe_spill(ConfigId pin_floor) {
   if (!spill_file_.valid()) return 0;
-  const std::size_t seg_bytes = seg_configs_ * words_ * sizeof(Value);
   // Only FULL segments spill (the partial tail is still being appended
   // to), and never one at or above the pin floor: callers pin the
   // unexpanded frontier so its reads stay pointer-direct.
@@ -295,7 +285,7 @@ std::size_t ConfigArena::maybe_spill(ConfigId pin_floor) {
       break;
     }
     Seg& s = *segs_[i];
-    if (s.data == nullptr) continue;
+    if (!s.data) continue;
     if (!spill_segment(s)) {
       const int err = errno;
       spill_file_.close();
@@ -305,7 +295,7 @@ std::size_t ConfigArena::maybe_spill(ConfigId pin_floor) {
           spill_threshold_);
     }
     first_resident_seg_ = i + 1;
-    released += seg_bytes;
+    released += seg_bytes();
   }
   return released;
 }

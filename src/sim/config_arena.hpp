@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sim/config.hpp"
+#include "util/huge_pages.hpp"
 #include "util/spill_store.hpp"
 
 namespace tsb::sim {
@@ -54,9 +55,12 @@ inline std::optional<Value> decision_of(const Protocol& proto,
 /// A configuration of an (n, m) protocol is exactly n state words followed
 /// by m register words. The arena stores them back to back in fixed-size
 /// SEGMENTS (a power-of-two number of configurations each, sized to a few
-/// MB) allocated flat with new[] — the geas Vec idiom: no per-configuration
+/// MB) allocated flat — the geas Vec idiom: no per-configuration
 /// allocation, no reallocation copying, and word pointers stay stable for
-/// the lifetime of a segment's residency. Deduplication goes through an
+/// the lifetime of a segment's residency. Segments and the dedup table sit
+/// on huge_alloc storage (util/huge_pages.hpp), so where transparent huge
+/// pages are available the random probes of a table of hundreds of MB do
+/// not also miss the TLB on every access. Deduplication goes through an
 /// open-addressing hash table of 8-byte slots (a 32-bit hash tag plus the
 /// id), so a probe touches the word data only on a tag match and the table
 /// stays half the size a full-hash layout would need. Growth re-derives
@@ -149,7 +153,7 @@ class ConfigArena {
   const Value* words(ConfigId id) const {
     const Seg* s = dir_.load(std::memory_order_acquire)[id >> seg_shift_].load(
         std::memory_order_acquire);
-    const Value* d = s->data;
+    const Value* d = s->data.data();
     if (d != nullptr) {
       return d + (static_cast<std::size_t>(id) & seg_mask_) * words_;
     }
@@ -177,7 +181,7 @@ class ConfigArena {
   Value* slot_ptr(ConfigId id) {
     Seg* s = dir_.load(std::memory_order_acquire)[id >> seg_shift_].load(
         std::memory_order_acquire);
-    return s->data + (static_cast<std::size_t>(id) & seg_mask_) * words_;
+    return s->data.data() + (static_cast<std::size_t>(id) & seg_mask_) * words_;
   }
 
   /// Publish the final count after a phase of concurrent slot_ptr writes.
@@ -244,7 +248,7 @@ class ConfigArena {
     return resident_words_bytes_.load(std::memory_order_relaxed) +
            scratch_.capacity() * sizeof(Value);
   }
-  std::size_t table_bytes() const { return table_.capacity() * sizeof(Slot); }
+  std::size_t table_bytes() const { return table_.size() * sizeof(Slot); }
   std::size_t memory_bytes() const { return words_bytes() + table_bytes(); }
 
   std::size_t segment_configs() const { return seg_configs_; }
@@ -254,16 +258,22 @@ class ConfigArena {
   /// stored tag — so growth re-derives every bucket from tags alone: one
   /// sequential read pass, no rehashing of word data. (Holds while the
   /// table has <= 2^32 slots; the 32-bit id space runs out first.)
+  ///
+  /// The id is stored complemented so an all-zero slot is the empty one
+  /// (id kNoConfig): fresh huge_alloc memory is zero, and growing the
+  /// table needs no initialization pass.
   struct Slot {
-    std::uint32_t tag = 0;  ///< top 32 hash bits; full equality is by words
-    ConfigId id = kNoConfig;
+    std::uint32_t tag;   ///< top 32 hash bits; full equality is by words
+    std::uint32_t nid;   ///< ~id (0 = empty)
+    ConfigId id() const { return ~nid; }
+    bool empty() const { return nid == 0; }
   };
 
   /// One fixed-size segment of seg_configs_ configurations. `data` is the
-  /// flat resident array (null once spilled); `blk` describes the
+  /// flat resident array (empty once spilled); `blk` describes the
   /// compressed block in the backing file after a spill.
   struct Seg {
-    Value* data = nullptr;
+    util::HugeArray<Value> data;
     util::spill::BackingFile::Block blk;
   };
 
@@ -273,6 +283,7 @@ class ConfigArena {
   void release_map(Seg& s);
   void add_segment();
   void alloc_seg_data(Seg& s);
+  std::size_t seg_bytes() const { return seg_configs_ * words_ * sizeof(Value); }
 
   int n_;
   int m_;
@@ -300,7 +311,7 @@ class ConfigArena {
   std::size_t dir_cap_ = 0;
 
   std::vector<Value> scratch_;  ///< words_ staging words
-  std::vector<Slot> table_;     ///< open addressing, power-of-two size
+  util::HugeArray<Slot> table_;  ///< open addressing, power-of-two size
   std::size_t mask_ = 0;        ///< table size - 1 (probe wrap)
   int shift_ = 0;               ///< 64 - log2(table size) (bucket index)
 

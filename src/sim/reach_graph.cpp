@@ -13,57 +13,6 @@
 
 namespace tsb::sim {
 
-namespace {
-inline std::uint64_t mix64(std::uint64_t h) {
-  h += 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  return h ^ (h >> 31);
-}
-}  // namespace
-
-// ---------------------------------------------------------------- FactMap
-
-const std::uint32_t* ReachGraph::FactMap::find(std::uint64_t key) const {
-  if (slots_.empty()) return nullptr;
-  std::size_t i = mix64(key) & mask_;
-  while (true) {
-    const Slot& s = slots_[i];
-    if (s.key == 0) return nullptr;
-    if (s.key == key) return &s.val;
-    i = (i + 1) & mask_;
-  }
-}
-
-std::uint32_t& ReachGraph::FactMap::at_or_insert(std::uint64_t key) {
-  if (slots_.empty() || (count_ + 1) * 10 >= slots_.size() * 7) grow();
-  std::size_t i = mix64(key) & mask_;
-  while (true) {
-    Slot& s = slots_[i];
-    if (s.key == 0) {
-      s.key = key;
-      ++count_;
-      return s.val;
-    }
-    if (s.key == key) return s.val;
-    i = (i + 1) & mask_;
-  }
-}
-
-void ReachGraph::FactMap::grow() {
-  const std::size_t cap = slots_.empty() ? 1024 : slots_.size() * 2;
-  std::vector<Slot> bigger(cap);
-  const std::size_t mask = cap - 1;
-  for (const Slot& s : slots_) {
-    if (s.key == 0) continue;
-    std::size_t i = mix64(s.key) & mask;
-    while (bigger[i].key != 0) i = (i + 1) & mask;
-    bigger[i] = s;
-  }
-  slots_ = std::move(bigger);
-  mask_ = mask;
-}
-
 // -------------------------------------------------------------- ReachGraph
 
 ReachGraph::ReachGraph(const Protocol& proto, Options opts)
@@ -73,13 +22,8 @@ ReachGraph::ReachGraph(const Protocol& proto, Options opts)
       words_(static_cast<std::size_t>(proto.num_processes()) +
              static_cast<std::size_t>(proto.num_registers())),
       sym_(proto.symmetric() && proto.num_processes() <= ProcPerm::kMaxProcs),
-      // Fact keys pack P and the ambient bits above the 32-bit id; for
-      // n > 28 (no experiment goes near it) facts are simply disabled —
-      // edge reuse still works.
-      facts_on_(proto.num_processes() <= 28),
       arena_(proto.num_processes(), proto.num_registers()),
       stage_(words_, 0),
-      sub_stage_(words_, 0),
       exp_words_(words_ * static_cast<std::size_t>(proto.num_processes()), 0) {
   if (opts_.threads > 1) {
     pool_ = std::make_unique<util::WorkerPool>(opts_.threads);
@@ -105,12 +49,13 @@ ReachGraph::ReachGraph(const Protocol& proto, Options opts)
 }
 
 std::size_t ReachGraph::memory_bytes() const {
-  return arena_.memory_bytes() + edge_resident_bytes() +
-         facts_.memory_bytes() + entries_.capacity() * sizeof(Entry) +
+  return arena_.memory_bytes() + edge_resident_bytes() + query_bytes();
+}
+
+std::size_t ReachGraph::query_bytes() const {
+  return entries_.capacity() * sizeof(Entry) +
          entry_perm_.capacity() * sizeof(ProcPerm) +
-         edges_.capacity() * sizeof(EdgeRec) +
-         (mark_epoch_.capacity() + mark_idx_.capacity()) *
-             sizeof(std::uint32_t);
+         mark_epoch_.capacity() * sizeof(std::uint32_t);
 }
 
 void ReachGraph::update_ledger() const {
@@ -119,13 +64,7 @@ void ReachGraph::update_ledger() const {
   obs::MemLedger& ledger = obs::MemLedger::global();
   ledger.set(obs::MemAccount::kReachNodes, arena_.memory_bytes());
   ledger.set(obs::MemAccount::kReachEdges, edge_resident_bytes());
-  ledger.set(obs::MemAccount::kReachFacts, facts_.memory_bytes());
-  ledger.set(obs::MemAccount::kReachQuery,
-             entries_.capacity() * sizeof(Entry) +
-                 entry_perm_.capacity() * sizeof(ProcPerm) +
-                 edges_.capacity() * sizeof(EdgeRec) +
-                 (mark_epoch_.capacity() + mark_idx_.capacity()) *
-                     sizeof(std::uint32_t));
+  ledger.set(obs::MemAccount::kReachQuery, query_bytes());
   if (arena_.spill_enabled() || arena_.spilled_bytes() != 0) {
     // Disk-resident and mmap-resident bytes are tracked separately: the
     // spill file is not RAM (excluded from memory_bytes/budget), while
@@ -174,7 +113,6 @@ void ReachGraph::save(util::ckpt::SectionWriter& w) const {
   w.put_u32(static_cast<std::uint32_t>(n_));
   w.put_u32(static_cast<std::uint32_t>(words_));
   w.put_u8(sym_ ? 1 : 0);
-  w.put_u8(facts_on_ ? 1 : 0);
   const std::size_t count = arena_.size();
   w.put_u64(count);
   // Logical node words in id order; arena_.words() decodes spilled
@@ -197,15 +135,8 @@ void ReachGraph::save(util::ckpt::SectionWriter& w) const {
                   static_cast<std::size_t>(n_) * sizeof(std::uint64_t));
     }
   }
-  w.put_u64(facts_.size());
-  facts_.for_each([&](std::uint64_t key, std::uint32_t val) {
-    w.put_u64(key);
-    w.put_u32(val);
-  });
   w.put_u64(edges_expanded_);
   w.put_u64(edges_reused_);
-  w.put_u64(fact_answers_);
-  w.put_u64(fact_subsumed_);
   w.end();
 }
 
@@ -215,7 +146,7 @@ void ReachGraph::restore(util::ckpt::SectionReader& r) {
   r.expect("graph");
   if (r.get_u32() != static_cast<std::uint32_t>(n_) ||
       r.get_u32() != static_cast<std::uint32_t>(words_) ||
-      r.get_u8() != (sym_ ? 1 : 0) || r.get_u8() != (facts_on_ ? 1 : 0)) {
+      r.get_u8() != (sym_ ? 1 : 0)) {
     throw util::CheckpointInvalid(
         "checkpoint graph section disagrees with the protocol's shape "
         "(process count, word count, or symmetry mode)");
@@ -235,7 +166,7 @@ void ReachGraph::restore(util::ckpt::SectionReader& r) {
           "): duplicate or reordered node words");
     }
   }
-  // Bulk-load flags/edges/facts without register_config: the stored
+  // Bulk-load flags and edges without register_config: the stored
   // values already carry its decide scan. Everything lands resident
   // (restore runs on a fresh engine); the trailing maybe_spill_edges()
   // re-establishes the memory plan before the first query.
@@ -261,20 +192,8 @@ void ReachGraph::restore(util::ckpt::SectionReader& r) {
       }
     }
   }
-  const std::uint64_t fact_count = r.get_u64();
-  for (std::uint64_t i = 0; i < fact_count; ++i) {
-    const std::uint64_t key = r.get_u64();
-    const std::uint32_t val = r.get_u32();
-    if (key == 0) {
-      throw util::CheckpointInvalid(
-          "checkpoint graph section carries an empty-sentinel fact key");
-    }
-    facts_.at_or_insert(key) = val;
-  }
   edges_expanded_ = r.get_u64();
   edges_reused_ = r.get_u64();
-  fact_answers_ = r.get_u64();
-  fact_subsumed_ = r.get_u64();
   r.done();
   maybe_spill_edges();
   update_ledger();
@@ -376,7 +295,6 @@ void ReachGraph::precompute_level(std::uint32_t lo, std::uint32_t hi) {
   std::uint32_t count = 0;
   for (std::uint32_t i = lo; i < hi; ++i) {
     const Entry& e = entries_[i];
-    if ((e.fact & 0x3) == 0x3) continue;  // pruned at dequeue
     const std::uint64_t pb = sym_ ? e.pbits : query_pbits_;
     const ConfigId* row = succ_.read(e.id);
     ProcSet(pb).for_each([&](int q) {
@@ -412,7 +330,6 @@ void ReachGraph::ensure_marks(ConfigId id) {
   // arena's size exactly would mean one resize call per new configuration.
   const std::size_t ns = std::max(arena_.size(), mark_epoch_.size() * 2);
   mark_epoch_.resize(ns, 0);
-  mark_idx_.resize(ns, kNoEntry);
 }
 
 void ReachGraph::maybe_spill_edges() {
@@ -447,51 +364,6 @@ void ReachGraph::maybe_spill_edges() {
   }
 }
 
-std::uint8_t ReachGraph::subsume_root_bits(const Config& c, ProcSet p) {
-  // For each q0 outside P, look up the exact stored fact of the superset
-  // projection P ∪ {q0} at this configuration — find() only, never intern:
-  // a probe must not grow the graph. Negative bits transfer to P:
-  // monotonicity (every P-only execution is a (P ∪ {q0})-only execution)
-  // rules out deciding inside P, and the negative itself rules out the two
-  // ways the ambient context could differ — an outside-everything decider
-  // would have made the superset fact positive via its ambient bit, and a
-  // poised q0 would have made the superset root self-deciding. Positive
-  // facts do NOT transfer (their witness may schedule q0).
-  std::uint8_t neg = 0;
-  for (int q0 = 0; q0 < n_ && neg != 0x3; ++q0) {
-    if (p.contains(q0)) continue;
-    const ProcSet sup = p.with(q0);
-    arena_.pack(c, sub_stage_.data());
-    std::uint8_t ambient = 0;
-    for (int q = 0; q < n_; ++q) {
-      if (sup.contains(q)) continue;
-      const PendingOp op =
-          proto_.poised(q, sub_stage_[static_cast<std::size_t>(q)]);
-      if (op.is_decide() && (op.value == 0 || op.value == 1)) {
-        ambient |= static_cast<std::uint8_t>(1u << op.value);
-      }
-      sub_stage_[static_cast<std::size_t>(q)] = kMaskedState;
-    }
-    std::uint64_t pbits = sup.bits();
-    if (sym_) {
-      const ProcPerm rho = canonicalize_states(sub_stage_.data(), n_);
-      ProcSet pc;
-      refine_procset(sub_stage_.data(), n_, rho.apply(sup), &pc);
-      pbits = pc.bits();
-    }
-    const ConfigId id = arena_.find(sub_stage_.data());
-    if (id == kNoConfig) continue;
-    const std::uint32_t* f = facts_.find(
-        (pbits << 34) | (static_cast<std::uint64_t>(ambient) << 32) | id);
-    if (f == nullptr) continue;
-    for (int v = 0; v < 2; ++v) {
-      if (((*f >> v) & 1) && !((*f >> (2 + v)) & 1)) {
-        neg |= static_cast<std::uint8_t>(1u << v);
-      }
-    }
-  }
-  return neg;
-}
 
 ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
                                           ProcPerm* perm_out) {
@@ -505,12 +377,10 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
                       static_cast<std::int64_t>(root.pbits));
   if (perm_out) *perm_out = pi0;
   query_pbits_ = root.pbits;
-  query_ambient_ = root.ambient;  // before any fact_probe: it keys on this
-  recording_ = facts_on_;
+  query_ambient_ = root.ambient;
 
   entries_.clear();
   entry_perm_.clear();
-  edges_.clear();
   batch_index_.clear();
   if (sym_) {
     visited_.clear();
@@ -524,51 +394,25 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
   // out in the canonical frame and memoize cleanly; callers translate via
   // pi0^-1.
   auto enter = [&](ConfigId id, std::uint8_t pb, std::uint32_t parent,
-                   std::uint8_t via, ProcPerm perm) -> std::uint32_t {
+                   std::uint8_t via, ProcPerm perm) {
     if (sym_) {
-      const std::uint64_t key = (static_cast<std::uint64_t>(id) << 8) | pb;
-      const auto [it, fresh] =
-          visited_.try_emplace(key, static_cast<std::uint32_t>(entries_.size()));
-      if (!fresh) return it->second;
+      if (!visited_.insert((static_cast<std::uint64_t>(id) << 8) | pb).second) {
+        return;
+      }
     } else {
       ensure_marks(id);
-      if (mark_epoch_[id] == epoch_) return mark_idx_[id];
+      if (mark_epoch_[id] == epoch_) return;
       mark_epoch_[id] = epoch_;
-      mark_idx_[id] = static_cast<std::uint32_t>(entries_.size());
     }
-    const std::uint64_t fpb = sym_ ? pb : query_pbits_;
-    entries_.push_back(Entry{id, parent, via, pb, fact_probe(id, fpb)});
+    entries_.push_back(Entry{id, parent, via, pb});
     if (sym_) entry_perm_.push_back(perm);
     ++res.visited;
-    return static_cast<std::uint32_t>(entries_.size() - 1);
   };
 
   enter(root.id, static_cast<std::uint8_t>(sym_ ? root.pbits : 0), kNoEntry, 0,
         ProcPerm::identity());
 
-  // Root-level fact subsumption: a stored exact negative for a superset
-  // projection P ∪ {q0} at this configuration transfers to the strictly
-  // smaller P (P-only executions are a subset of the superset's, and the
-  // negative rules out both an ambient decider and a poised q0). Bits the
-  // root's own exact fact already knows are skipped so fact_subsumed_
-  // counts only queries where subsumption added information.
-  std::uint8_t neg_known = 0;
-  if (facts_on_ && (entries_[0].fact & 0x3) != 0x3) {
-    neg_known = static_cast<std::uint8_t>(subsume_root_bits(c, p) &
-                                          ~entries_[0].fact & 0x3);
-    if (neg_known != 0) {
-      ++fact_subsumed_;
-      entries_[0].fact |= neg_known;  // known, can stays 0
-      // Persist into the root's exact fact slot so the next identical
-      // query answers without re-probing the superset keys.
-      std::uint32_t& slot = facts_.at_or_insert(fact_key(root.id, root.pbits));
-      slot |= neg_known;
-    }
-  }
-
   std::uint32_t found[2] = {kNoEntry, kNoEntry};
-  bool by_fact[2] = {false, false};
-  bool early = false;
   obs::Heartbeat hb("valency.reach");
 
   std::size_t head = 0;
@@ -602,8 +446,7 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
       hb.beat(
           [&] {
             return "nodes=" + std::to_string(arena_.size()) +
-                   " entries=" + std::to_string(entries_.size()) +
-                   " facts=" + std::to_string(facts_.size());
+                   " entries=" + std::to_string(entries_.size());
           },
           [&](obs::StatusSnapshot& s) {
             s.frontier = static_cast<std::int64_t>(entries_.size() - head);
@@ -614,41 +457,19 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
     const std::uint32_t cur = static_cast<std::uint32_t>(head++);
     const Entry e = entries_[cur];  // copy: entries_ grows below
 
-    // Self-decision first — matches the fresh-BFS explorers' "first
-    // deciding configuration in discovery order" witness choice — then
-    // persisted facts. Ambient bits count as decisions at every node
-    // (frozen processes stay poised throughout the P-only subgraph).
+    // First deciding configuration in discovery order — the fresh-BFS
+    // explorers' witness choice. Ambient bits count as decisions at every
+    // node (frozen processes stay poised throughout the P-only subgraph).
     const std::uint8_t df =
         static_cast<std::uint8_t>(*flags_.read(e.id) | query_ambient_);
     for (int v = 0; v < 2; ++v) {
       if (found[v] == kNoEntry && ((df >> v) & 1)) found[v] = cur;
     }
-    for (int v = 0; v < 2; ++v) {
-      if (found[v] == kNoEntry && ((e.fact >> v) & 1) &&
-          ((e.fact >> (2 + v)) & 1)) {
-        found[v] = cur;
-        by_fact[v] = true;
-      }
-    }
-    // A value covered by a subsumed negative can never be found; treat it
-    // as settled so e.g. a bivalence probe stops at the first witness of
-    // the other value instead of draining the subgraph.
-    if ((found[0] != kNoEntry || (neg_known & 0x1)) &&
-        (found[1] != kNoEntry || (neg_known & 0x2))) {
-      early = true;
-      break;
-    }
-    // A fully known fact settles the entire subtree: skipping it keeps the
-    // pass exact, because the skipped node's answers are themselves exact.
-    if ((e.fact & 0x3) == 0x3) continue;
+    if (found[0] != kNoEntry && found[1] != kNoEntry) break;
 
     if (entries_.size() >= opts_.max_configs) {
       res.truncated = true;
       break;
-    }
-    if (recording_ && entries_.size() > opts_.fact_entry_cap) {
-      recording_ = false;
-      edges_.clear();  // keeps capacity, which stays O(fact_entry_cap)
     }
 
     const std::uint64_t pb = sym_ ? e.pbits : query_pbits_;
@@ -725,175 +546,36 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
         ++edges_reused_;
         if (sym_) sigma = ProcPerm(prow[q]);
       }
-      std::uint32_t child;
       if (sym_) {
         ProcSet cpbs;
         const ProcPerm tau = refine_procset(
             arena_.words(s), n_, sigma.apply(ProcSet(pb)), &cpbs);
         const ProcPerm cperm =
             ProcPerm::compose(ProcPerm::compose(eperm, sigma), tau);
-        child = enter(s, static_cast<std::uint8_t>(cpbs.bits()), cur,
-                      static_cast<std::uint8_t>(q), cperm);
+        enter(s, static_cast<std::uint8_t>(cpbs.bits()), cur,
+              static_cast<std::uint8_t>(q), cperm);
       } else {
-        child = enter(s, 0, cur, static_cast<std::uint8_t>(q),
-                      ProcPerm::identity());
-      }
-      if (recording_) {
-        edges_.push_back(EdgeRec{cur, child, static_cast<std::uint8_t>(q)});
+        enter(s, 0, cur, static_cast<std::uint8_t>(q), ProcPerm::identity());
       }
     });
   }
 
-  // Witness chase: extend a path from `ent` by following per-value
-  // next-hop facts to a self-deciding configuration. Terminates because a
-  // hop's target was already fact-positive (or self-deciding) when the hop
-  // was recorded — hops strictly descend in (recording pass, hop distance).
-  auto chase = [&](std::uint32_t ent, int v,
-                   std::vector<ProcId>& out) -> ConfigId {
-    ConfigId id = entries_[ent].id;
-    std::uint64_t pb = sym_ ? entries_[ent].pbits : query_pbits_;
-    ProcPerm pi = sym_ ? entry_perm_[ent] : ProcPerm::identity();
-    while (true) {
-      if (((*flags_.read(id) | query_ambient_) >> v) & 1) return id;
-      const std::uint32_t* f = facts_.find(fact_key(id, pb));
-      TSB_REQUIRE(f != nullptr && ((*f >> v) & 1) && ((*f >> (2 + v)) & 1),
-                  "fact chase hit a node without a positive fact");
-      const int q = static_cast<int>((*f >> (8 + 8 * v)) & 0xFF);
-      TSB_REQUIRE(q != kWpUnset && q != kWpSelf && q < n_,
-                  "fact chase: malformed next-hop");
-      out.push_back(sym_ ? pi.inverse()(q) : q);
-      const ConfigId s = succ_.read(id)[q];
-      TSB_REQUIRE(s != kUnexpanded && s != kNoConfig,
-                  "fact chase: next-hop edge missing");
-      if (sym_) {
-        const ProcPerm sigma(perm_.read(id)[q]);
-        ProcSet cpbs;
-        const ProcPerm tau = refine_procset(arena_.words(s), n_,
-                                            sigma.apply(ProcSet(pb)), &cpbs);
-        pb = cpbs.bits();
-        pi = ProcPerm::compose(ProcPerm::compose(pi, sigma), tau);
-      }
-      id = s;
-    }
-  };
-
-  // Path from the canonical root to entry `t`, in the canonical frame.
-  auto path_to = [&](std::uint32_t t, std::vector<ProcId>& out) {
-    const std::size_t base = out.size();
-    while (entries_[t].parent != kNoEntry) {
-      const Entry& et = entries_[t];
-      out.push_back(sym_ ? entry_perm_[et.parent].inverse()(et.via)
-                         : static_cast<ProcId>(et.via));
-      t = et.parent;
-    }
-    std::reverse(out.begin() + static_cast<std::ptrdiff_t>(base), out.end());
-  };
-
+  // Witness: the path from the canonical root to the deciding entry, in
+  // the canonical frame.
   for (int v = 0; v < 2; ++v) {
     if (found[v] == kNoEntry) continue;
     res.can[v] = true;
+    res.witness_id[v] = entries_[found[v]].id;
     std::vector<ProcId> steps_out;
-    path_to(found[v], steps_out);
-    if (by_fact[v]) {
-      res.witness_id[v] = chase(found[v], v, steps_out);
-    } else {
-      res.witness_id[v] = entries_[found[v]].id;
+    for (std::uint32_t t = found[v]; entries_[t].parent != kNoEntry;) {
+      const Entry& et = entries_[t];
+      steps_out.push_back(sym_ ? entry_perm_[et.parent].inverse()(et.via)
+                               : static_cast<ProcId>(et.via));
+      t = et.parent;
     }
+    std::reverse(steps_out.begin(), steps_out.end());
     res.witness[v] = Schedule(std::move(steps_out));
   }
-  TSB_REQUIRE((neg_known & ((res.can[0] ? 1u : 0u) | (res.can[1] ? 2u : 0u))) ==
-                  0,
-              "subsumed superset negative contradicts a found witness");
-  // "Answered from facts": no graph work at all, and persisted facts (not
-  // just the root configuration deciding by itself) carried the verdicts —
-  // including a subsumed superset negative settling its value for free.
-  res.from_facts = res.expanded == 0 && res.reused == 0 &&
-                   (by_fact[0] || by_fact[1] || neg_known != 0 ||
-                    (entries_[0].fact & 0x3) == 0x3);
-  if (res.from_facts) ++fact_answers_;
-
-  if (facts_on_) {
-    if (recording_ && !early && !res.truncated) {
-      // The pass drained: every visited entry's answers are exact (skipped
-      // subtrees were behind fully known facts). Propagate decisions
-      // backward over this pass's edges and persist the results.
-      const std::size_t ne = entries_.size();
-      rev_off_.assign(ne + 1, 0);
-      for (const EdgeRec& er : edges_) ++rev_off_[er.to + 1];
-      for (std::size_t i = 1; i <= ne; ++i) rev_off_[i] += rev_off_[i - 1];
-      rev_cursor_.assign(rev_off_.begin(), rev_off_.end() - 1);
-      rev_from_.resize(edges_.size());
-      rev_via_.resize(edges_.size());
-      for (const EdgeRec& er : edges_) {
-        const std::uint32_t slot = rev_cursor_[er.to]++;
-        rev_from_[slot] = er.from;
-        rev_via_[slot] = er.via;
-      }
-      pos_.assign(ne, 0);
-      wtmp_.assign(ne * 2, kWpUnset);
-      for (int v = 0; v < 2; ++v) {
-        work_.clear();
-        for (std::size_t i = 0; i < ne; ++i) {
-          const Entry& ei = entries_[i];
-          const bool self = ((*flags_.read(ei.id) | query_ambient_) >> v) & 1;
-          const bool fact_pos =
-              ((ei.fact >> v) & 1) && ((ei.fact >> (2 + v)) & 1);
-          if (!self && !fact_pos) continue;
-          pos_[i] |= static_cast<std::uint8_t>(1u << v);
-          if (self) wtmp_[i * 2 + v] = kWpSelf;
-          work_.push_back(static_cast<std::uint32_t>(i));
-        }
-        for (std::size_t k = 0; k < work_.size(); ++k) {
-          const std::uint32_t t = work_[k];
-          for (std::uint32_t s = rev_off_[t]; s < rev_off_[t + 1]; ++s) {
-            const std::uint32_t u = rev_from_[s];
-            if ((pos_[u] >> v) & 1) continue;
-            pos_[u] |= static_cast<std::uint8_t>(1u << v);
-            wtmp_[u * 2 + v] = rev_via_[s];
-            work_.push_back(u);
-          }
-        }
-      }
-      for (std::size_t i = 0; i < ne; ++i) {
-        const Entry& ei = entries_[i];
-        std::uint32_t& slot =
-            facts_.at_or_insert(fact_key(ei.id, sym_ ? ei.pbits : query_pbits_));
-        for (int v = 0; v < 2; ++v) {
-          if ((slot >> v) & 1) continue;  // never overwrite a known fact
-          slot |= 1u << v;
-          if ((pos_[i] >> v) & 1) {
-            slot |= 1u << (2 + v);
-            std::uint8_t w = wtmp_[i * 2 + v];
-            if (w == kWpUnset) w = kWpSelf;
-            slot |= static_cast<std::uint32_t>(w) << (8 + 8 * v);
-          }
-        }
-      }
-    } else {
-      // Interrupted pass (early exit or cap) or one past fact_entry_cap:
-      // only the found witness paths are certainly positive; record those
-      // so prefix-pattern queries (the lemma peel loops) land on facts
-      // next time.
-      for (int v = 0; v < 2; ++v) {
-        if (found[v] == kNoEntry || by_fact[v]) continue;
-        std::uint32_t t = found[v];
-        std::uint8_t via_down = kWpSelf;  // found entry decides itself
-        while (true) {
-          const Entry& et = entries_[t];
-          std::uint32_t& slot = facts_.at_or_insert(
-              fact_key(et.id, sym_ ? et.pbits : query_pbits_));
-          if (!((slot >> v) & 1)) {
-            slot |= (1u << v) | (1u << (2 + v));
-            slot |= static_cast<std::uint32_t>(via_down) << (8 + 8 * v);
-          }
-          if (et.parent == kNoEntry) break;
-          via_down = et.via;
-          t = et.parent;
-        }
-      }
-    }
-  }
-
   return res;
 }
 

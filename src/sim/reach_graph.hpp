@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "sim/canonical.hpp"
@@ -41,22 +42,12 @@ namespace tsb::sim {
 ///  * Edges are per (projected configuration, process) and lazily expanded
 ///    exactly once. A query for (C, P) walks the stored graph and only pays
 ///    protocol steps on the frontier no earlier query touched. Two queries
-///    whose roots differ only in frozen-process state hit the *same* nodes,
-///    edges and facts; peel-loop neighbours that differ in one register
-///    value re-merge as soon as P overwrites it, and everything past the
-///    merge point is answered from the store.
-///
-///  * After a pass that drains its frontier (so its negative answers are
-///    exact), decided-value facts are propagated backward along the pass's
-///    edges and persisted per (configuration, P): "P can / cannot decide v
-///    from here", plus the next-hop process of a deciding execution. Later
-///    queries consume facts mid-walk — a hit on a node with both values
-///    known settles its entire subtree without touching it, and a hit on
-///    the root answers the query with zero expansion. Witnesses are rebuilt
-///    by chasing next-hops; chains always terminate because a next-hop's
-///    target was already fact-positive (or self-deciding) when the hop was
-///    recorded, so hops strictly descend in (recording pass, hop distance)
-///    order.
+///    whose roots differ only in frozen-process state hit the *same* nodes
+///    and edges; peel-loop neighbours that differ in one register value
+///    re-merge as soon as P overwrites it, and everything past the merge
+///    point is walked over stored edges. Verdicts are never cached here:
+///    the oracle memoizes whole (C, P) pairs, and a walk over stored edges
+///    costs one flag read and one row copy per entry.
 ///
 ///  * For symmetric protocols (Protocol::symmetric(), n <= 8) the graph is
 ///    quotiented by process renaming: nodes are canonical (sorted-states)
@@ -81,14 +72,6 @@ class ReachGraph {
     /// (negative answers unsound — callers surface ever_truncated).
     std::size_t max_configs = 2'000'000;
     int threads = 1;
-    /// Passes with at most this many entries persist full fact coverage on
-    /// drain (edges recorded, decisions back-propagated, every entry
-    /// facted). Bigger passes only persist their witness paths: the lemma
-    /// peel loops that facts exist for run small passes, while a
-    /// multi-million-entry univalent pass would pay tens of MB of edge
-    /// records and fact-map churn for entries no later query probes.
-    /// Facts are an optimization — any cap is sound.
-    std::size_t fact_entry_cap = 1u << 16;
     /// Whole-engine heap budget (0 = uncapped). Unlike the fresh-BFS
     /// explorers this is cumulative across queries — the shared graph is
     /// the point — so once tripped, every later query throws
@@ -150,7 +133,6 @@ class ReachGraph {
     /// !can[v]).
     ConfigId witness_id[2] = {kNoConfig, kNoConfig};
     bool truncated = false;   ///< hit max_configs; negatives unsound
-    bool from_facts = false;  ///< answered with zero new expansion
     std::uint64_t expanded = 0;  ///< edges expanded (protocol steps paid)
     std::uint64_t reused = 0;    ///< stored edges consumed
     std::uint64_t visited = 0;   ///< BFS entries this query
@@ -163,12 +145,6 @@ class ReachGraph {
   std::size_t nodes() const { return arena_.size(); }
   std::uint64_t edges_expanded() const { return edges_expanded_; }
   std::uint64_t edges_reused() const { return edges_reused_; }
-  /// Queries answered entirely from persisted facts (zero expansion).
-  std::uint64_t fact_answers() const { return fact_answers_; }
-  /// Queries where a superset projection's stored negative transferred to
-  /// the (strictly smaller) query ProcSet at the root.
-  std::uint64_t fact_subsumed() const { return fact_subsumed_; }
-  std::size_t fact_entries() const { return facts_.size(); }
   std::size_t memory_bytes() const;
 
   /// Edge-store spill accounting (graph.spill / graph.mapped ledger
@@ -195,8 +171,8 @@ class ReachGraph {
   }
 
   /// Serialize the engine's persistent cross-query state (node words,
-  /// decide flags, successor edges and renamings, the fact map, and the
-  /// expansion counters) as one "graph" checkpoint section. Per-query
+  /// decide flags, successor edges and renamings, and the expansion
+  /// counters) as one "graph" checkpoint section. Per-query
   /// scratch is deliberately excluded: checkpoints happen at quiescent
   /// points and resume re-runs the in-flight query from its root, walking
   /// the restored edges instead of re-paying protocol steps.
@@ -204,7 +180,7 @@ class ReachGraph {
   /// Inverse of save(). Must run on a freshly constructed engine (the
   /// ctor has already configured arena spill while the arena is empty);
   /// node words are re-interned in id order so the dedup table rebuilds
-  /// exactly, then flags/edges/facts are bulk-loaded without
+  /// exactly, then flags and edges are bulk-loaded without
   /// register_config. Shape mismatch (different n, word count, or
   /// symmetry mode) throws util::CheckpointInvalid.
   void restore(util::ckpt::SectionReader& r);
@@ -219,8 +195,6 @@ class ReachGraph {
   /// succ_ sentinel: edge never computed. Distinct from kNoConfig, which
   /// marks "process decided here, no edge".
   static constexpr ConfigId kUnexpanded = 0xFFFFFFFEu;
-  static constexpr std::uint8_t kWpSelf = 0xFF;   ///< decides at this node
-  static constexpr std::uint8_t kWpUnset = 0xFE;
 
   /// One BFS node occurrence in the current query. Deliberately 12 bytes:
   /// the entry stream is pushed and re-read tens of millions of times per
@@ -231,57 +205,7 @@ class ReachGraph {
     std::uint32_t parent;  ///< entry index (kNoEntry at the root)
     std::uint8_t via;      ///< process (parent's frame) that reached us
     std::uint8_t pbits;    ///< P in this node's frame (symmetric mode)
-    std::uint8_t fact;     ///< cached fact bits (known/can) at enqueue
   };
-  struct EdgeRec {
-    std::uint32_t from, to;  ///< entry indices
-    std::uint8_t via;        ///< process in `from`'s frame
-  };
-
-  /// Open-addressing (config, pbits, ambient) -> packed fact map. Packing:
-  /// bit v = known[v], bit 2+v = can[v], byte 1+v = next-hop process of a
-  /// deciding execution (kWpSelf: decides here). Key 0 is the empty
-  /// sentinel — real keys always carry a non-empty P in the high bits.
-  class FactMap {
-   public:
-    const std::uint32_t* find(std::uint64_t key) const;
-    std::uint32_t& at_or_insert(std::uint64_t key);
-    std::size_t size() const { return count_; }
-    std::size_t memory_bytes() const {
-      return slots_.capacity() * sizeof(Slot);
-    }
-    /// Visit every occupied slot (checkpoint serialization). Order is the
-    /// table's probe order — arbitrary but content-complete; restore goes
-    /// through at_or_insert so the rebuilt table is content-equal.
-    template <class Fn>
-    void for_each(Fn&& fn) const {
-      for (const Slot& s : slots_) {
-        if (s.key != 0) fn(s.key, s.val);
-      }
-    }
-
-   private:
-    struct Slot {
-      std::uint64_t key = 0;
-      std::uint32_t val = 0;
-    };
-    void grow();
-    std::vector<Slot> slots_;
-    std::size_t mask_ = 0;
-    std::size_t count_ = 0;
-  };
-
-  /// Folds the query-constant ambient bits in above the id; pbits sits
-  /// above those (facts_on_ caps n so nothing collides).
-  std::uint64_t fact_key(ConfigId id, std::uint64_t pbits) const {
-    return (pbits << 34) |
-           (static_cast<std::uint64_t>(query_ambient_) << 32) | id;
-  }
-  std::uint8_t fact_probe(ConfigId id, std::uint64_t pbits) const {
-    if (!facts_on_) return 0;
-    const std::uint32_t* f = facts_.find(fact_key(id, pbits));
-    return f ? static_cast<std::uint8_t>(*f & 0x0F) : 0;
-  }
 
   void register_config(ConfigId id);
   void compute_successor(ConfigId id, int q, Value* out, ProcPerm* sigma) const;
@@ -289,23 +213,19 @@ class ReachGraph {
   void precompute_level(std::uint32_t lo, std::uint32_t hi);
   void check_budget();
   void update_ledger() const;
+  /// Per-query scratch bytes (the reach.query ledger account).
+  std::size_t query_bytes() const;
   void ensure_marks(ConfigId id);
   /// Spill cold full edge segments until their combined resident bytes
   /// drop to the spill threshold. Renamings go first (largest, read only
   /// on edge reuse), then successor rows, then the decide flags last
   /// (hottest: one byte per dequeue). Quiescent points only.
   void maybe_spill_edges();
-  /// Root-level fact subsumption: bit v set means some superset projection
-  /// P ∪ {q} holds an exact stored negative "cannot decide v" at this
-  /// configuration, which transfers to the query's strictly smaller P.
-  std::uint8_t subsume_root_bits(const Config& c, ProcSet p);
-
   const Protocol& proto_;
   Options opts_;
   int n_;
   std::size_t words_;
   bool sym_;
-  bool facts_on_;
 
   ConfigArena arena_;
   /// Per-node edge data, one spillable record per node id. flags_: bit v
@@ -316,42 +236,26 @@ class ReachGraph {
   util::spill::SpillStore<ConfigId> succ_;
   util::spill::SpillStore<std::uint64_t> perm_;
   bool edge_spill_on_ = false;
-  FactMap facts_;
 
   std::chrono::steady_clock::time_point deadline_ =
       std::chrono::steady_clock::time_point::max();
   std::uint64_t edges_expanded_ = 0;
   std::uint64_t edges_reused_ = 0;
-  std::uint64_t fact_answers_ = 0;
-  std::uint64_t fact_subsumed_ = 0;
 
   // Per-query state (members so allocations are reused across queries).
   std::uint64_t query_pbits_ = 0;   ///< asymmetric mode: constant P
   std::uint8_t query_ambient_ = 0;  ///< bit v: frozen proc poised-decides v
-  bool recording_ = false;          ///< still under fact_entry_cap
   std::vector<Entry> entries_;
   std::vector<ProcPerm> entry_perm_;  ///< symmetric mode: canonical-root
                                       ///< frame -> entry frame, per entry
-  std::vector<EdgeRec> edges_;
   std::vector<std::uint32_t> mark_epoch_;  ///< asymmetric visited marks
-  std::vector<std::uint32_t> mark_idx_;
   std::uint32_t epoch_ = 0;
-  std::unordered_map<std::uint64_t, std::uint32_t> visited_;  ///< symmetric
+  std::unordered_set<std::uint64_t> visited_;  ///< symmetric (id, pbits)
   std::vector<Value> stage_;      ///< inline expansion staging buffer
-  std::vector<Value> sub_stage_;  ///< superset-projection probe staging
   std::vector<Value> exp_words_;  ///< per-process successor staging: the
                                   ///< expansion loop computes and hashes a
                                   ///< whole entry's successors (prefetching
                                   ///< their dedup slots) before interning any
-
-  // Backward-propagation scratch.
-  std::vector<std::uint32_t> rev_off_;
-  std::vector<std::uint32_t> rev_cursor_;
-  std::vector<std::uint32_t> rev_from_;
-  std::vector<std::uint8_t> rev_via_;
-  std::vector<std::uint8_t> pos_;    ///< per entry: bit v = can decide v
-  std::vector<std::uint8_t> wtmp_;   ///< per entry * 2: next-hop proc
-  std::vector<std::uint32_t> work_;
 
   // Level-batched parallel expansion (threads > 1).
   std::unique_ptr<util::WorkerPool> pool_;

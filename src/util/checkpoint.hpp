@@ -44,8 +44,9 @@ namespace ckpt {
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed = 0);
 
 /// Bump when the state-file layout changes incompatibly; readers refuse
-/// other versions rather than guessing.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// other versions rather than guessing. Version 2: the "graph" section no
+/// longer carries the reach graph's fact map or its counters.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Streaming writer for the versioned, per-section-CRC checkpoint state
 /// file. Layout:

@@ -1,13 +1,14 @@
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "util/huge_pages.hpp"
 #include "util/require.hpp"
 
 namespace tsb::util::spill {
@@ -222,7 +223,8 @@ class BackingFile {
 /// A segmented, spillable array of fixed-stride records: the reach graph's
 /// per-node edge data (successor ids, per-edge renamings, decide flags)
 /// each live in one of these. Records are `stride` words of W, stored in
-/// power-of-two segments allocated flat; cold full segments compress into
+/// power-of-two segments allocated flat on huge_alloc storage (see
+/// util/huge_pages.hpp); cold full segments compress into
 /// the BackingFile at quiescent points and decode on demand.
 ///
 /// Unlike ConfigArena's immutable configuration words, edge records MUTATE
@@ -298,7 +300,7 @@ class SpillStore {
   /// thread's next read() of a spilled record in any SpillStore<W>.
   const W* read(std::size_t idx) const {
     const Seg& s = segs_[idx >> shift_];
-    if (s.data != nullptr) return s.data.get() + (idx & mask_) * stride_;
+    if (s.data) return s.data.data() + (idx & mask_) * stride_;
     return decode_tls(s, idx & mask_);
   }
 
@@ -307,8 +309,8 @@ class SpillStore {
   /// stale either way).
   W* write_ptr(std::size_t idx) {
     Seg& s = segs_[idx >> shift_];
-    if (s.data == nullptr) fault_in(s);
-    return s.data.get() + (idx & mask_) * stride_;
+    if (!s.data) fault_in(s);
+    return s.data.data() + (idx & mask_) * stride_;
   }
 
   /// True when resident bytes exceed `resident_target` and a cold full
@@ -317,7 +319,7 @@ class SpillStore {
     if (!file_.valid() || resident_bytes_ <= resident_target) return false;
     const std::size_t full = size_ >> shift_;
     for (std::size_t i = 0; i < full; ++i) {
-      if (segs_[i].data != nullptr) return true;
+      if (segs_[i].data) return true;
     }
     return false;
   }
@@ -344,7 +346,7 @@ class SpillStore {
 
  private:
   struct Seg {
-    std::unique_ptr<W[]> data;  ///< flat resident array (null once spilled)
+    HugeArray<W> data;       ///< flat resident array (empty once spilled)
     BackingFile::Block blk;     ///< compressed block once spilled
   };
 
@@ -356,15 +358,15 @@ class SpillStore {
 
   void alloc_seg(Seg& s) {
     const std::size_t n = seg_recs_ * stride_;
-    s.data.reset(new W[n]);
-    for (std::size_t i = 0; i < n; ++i) s.data[i] = fill_;
+    s.data = HugeArray<W>(n);  // zero-filled: a zero fill costs nothing
+    if (fill_ != W{}) std::fill_n(s.data.data(), n, fill_);
     resident_bytes_ += n * sizeof(W);
   }
 
   void fault_in(Seg& s) {
     const std::size_t n = seg_recs_ * stride_;
-    std::unique_ptr<W[]> fresh(new W[n]);
-    decode_all<W>(s.blk.map + s.blk.skip, seg_recs_, stride_, fresh.get());
+    HugeArray<W> fresh(n);
+    decode_all<W>(s.blk.map + s.blk.skip, seg_recs_, stride_, fresh.data());
     spilled_bytes_ -= s.blk.bytes;
     mapped_bytes_ -= s.blk.map_len;
     file_.release(s.blk);
@@ -418,8 +420,8 @@ std::size_t SpillStore<W>::maybe_spill(std::size_t resident_target,
   for (std::size_t i = 0; i < limit; ++i) {
     if (resident_bytes_ <= resident_target) break;
     Seg& s = segs_[i];
-    if (s.data == nullptr) continue;
-    encode_block<W>(s.data.get(), seg_recs_, stride_, block);
+    if (!s.data) continue;
+    encode_block<W>(s.data.data(), seg_recs_, stride_, block);
     BackingFile::Block blk;
     if (!file_.append(block.data(), block.size(), blk)) {
       ++spill_failures_;

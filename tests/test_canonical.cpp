@@ -4,7 +4,7 @@
 //    refine_procset's orbit representative round-trips through its renaming;
 //  * the symmetric-mode oracle interns ONE exploration per orbit and every
 //    de-canonicalized witness replays through the raw engine;
-//  * persisted facts answer repeat queries with zero expansion;
+//  * repeat queries walk stored edges with zero expansion;
 //  * the shared-subgraph backend is bit-identical to the fresh-BFS backend
 //    (the differential anchor) on ballot instances n = 3..5, sequentially
 //    and with worker threads, both query-by-query and through the full
@@ -233,10 +233,12 @@ TEST(Canonicalize, WitnessesReplayAfterDecanonicalization) {
   }
 }
 
-TEST(FactAnswers, DrainedPassAnswersRepeatAndPrefixQueriesForFree) {
-  // A drained exhaustive pass persists per-node decided-value facts. A
-  // repeat of the same query — and a query from any configuration the
-  // pass visited — must be answered purely from facts: zero expansion.
+TEST(StoredEdges, RepeatedQueryWalksOnlyStoredEdges) {
+  // Every edge expands at most once per session. A repeat of a drained
+  // query walks the same entries over the stored edges alone — zero
+  // protocol steps, one reuse per traversal of the first pass, identical
+  // verdicts and witness — and so does a query from a configuration the
+  // first pass visited.
   BallotConsensus proto(3, 9);
   sim::ReachGraph graph(proto, {});
   const Config c = sim::initial_config(proto, {1, 1, 1});
@@ -245,24 +247,31 @@ TEST(FactAnswers, DrainedPassAnswersRepeatAndPrefixQueriesForFree) {
   ProcPerm pi;
   const auto first = graph.query(c, p, &pi);
   EXPECT_FALSE(first.truncated);
-  EXPECT_FALSE(first.from_facts);
   EXPECT_GT(first.expanded, 0u);
   EXPECT_TRUE(first.can[1]);   // uniform inputs: univalent on 1
   EXPECT_FALSE(first.can[0]);
+  const std::size_t nodes = graph.nodes();
+  const std::uint64_t expanded = graph.edges_expanded();
 
   const auto again = graph.query(c, p, &pi);
-  EXPECT_TRUE(again.from_facts);
   EXPECT_EQ(again.expanded, 0u);
+  EXPECT_EQ(again.reused, first.expanded + first.reused);
+  EXPECT_EQ(again.visited, first.visited);
   EXPECT_EQ(again.can[0], first.can[0]);
   EXPECT_EQ(again.can[1], first.can[1]);
-  EXPECT_EQ(graph.fact_answers(), 1u);
+  EXPECT_EQ(again.witness[1].steps(), first.witness[1].steps());
+  EXPECT_EQ(again.witness_id[1], first.witness_id[1]);
+  EXPECT_EQ(graph.nodes(), nodes);
+  EXPECT_EQ(graph.edges_expanded(), expanded);
 
-  // One P-step deeper: still inside the facted subgraph.
+  // One P-step deeper: still inside the stored subgraph.
   const Config c2 = sim::step(proto, c, 1);
   const auto prefix = graph.query(c2, p, &pi);
-  EXPECT_TRUE(prefix.from_facts);
   EXPECT_EQ(prefix.expanded, 0u);
+  EXPECT_GT(prefix.reused, 0u);
   EXPECT_TRUE(prefix.can[1]);
+  EXPECT_FALSE(prefix.can[0]);
+  EXPECT_EQ(graph.edges_expanded(), expanded);
 }
 
 // --- differential: shared-subgraph engine vs fresh-BFS anchor ------------

@@ -629,6 +629,40 @@ TEST_F(AdversaryResumeTest, FutureFormatVersionIsRefused) {
                CheckpointInvalid);
 }
 
+TEST_F(AdversaryResumeTest, VersionOneStateFileIsRefused) {
+  // Version 1 "graph" sections carried the retired fact map. A state file
+  // (and manifest) from that format must be refused up front — exit 6 at
+  // the CLI — never handed to the version-2 section parser.
+  ASSERT_EQ(util::ckpt::kFormatVersion, 2u);
+  const std::string dir = make_completed_checkpoint("format_v1");
+  const std::string mpath = util::ckpt::manifest_path(dir);
+  const std::string spath = dir + "/" + Manifest::load(mpath).get("state");
+  // Header: 8 magic bytes, then the little-endian u32 format version.
+  auto bytes = slurp(spath);
+  ASSERT_GT(bytes.size(), 12u);
+  ASSERT_EQ(bytes[8], 2);
+  bytes[8] = 1;
+  spit(spath, bytes);
+  try {
+    SectionReader r(spath);
+    ADD_FAILURE() << "version-1 state file opened";
+  } catch (const CheckpointInvalid& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 1"),
+              std::string::npos)
+        << e.what();
+  }
+  // Manifest still says version 2: the state-file header alone refuses.
+  EXPECT_THROW(run_adversary(3, 6, 1, dir, /*resume=*/true, 0),
+               CheckpointInvalid);
+  // A whole version-1 checkpoint (manifest too) is refused as well.
+  CheckpointService::global().reset();
+  Manifest m = Manifest::load(mpath);
+  m.set_u64("format", 1);
+  m.save(mpath);
+  EXPECT_THROW(run_adversary(3, 6, 1, dir, /*resume=*/true, 0),
+               CheckpointInvalid);
+}
+
 TEST_F(AdversaryResumeTest, CorruptStateFileIsRefused) {
   const std::string dir = make_completed_checkpoint("state_rot");
   const Manifest m = Manifest::load(util::ckpt::manifest_path(dir));

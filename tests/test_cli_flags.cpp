@@ -22,7 +22,9 @@ TEST(ParseArgs, ThreadsZeroMeansAllHardwareThreads) {
   const int resolved = resolve_threads(r.flags.threads);
   EXPECT_GE(resolved, 1);
   const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 0) EXPECT_EQ(resolved, static_cast<int>(hw));
+  if (hw > 0) {
+    EXPECT_EQ(resolved, static_cast<int>(hw));
+  }
 }
 
 TEST(ParseArgs, PositiveThreadsResolveToThemselves) {

@@ -101,7 +101,7 @@ TEST(GraphSpill, ForcedEdgeSpillingMatchesResidentAtAnyThreadCount) {
       // The engine's discovery order is bit-identical at any thread count,
       // so the expansion counter must match exactly, not approximately.
       EXPECT_EQ(spilled.reach_expanded, resident.reach_expanded);
-      EXPECT_EQ(spilled.reach_fact_subsumed, resident.reach_fact_subsumed);
+      EXPECT_EQ(spilled.reach_reused, resident.reach_reused);
       // The test is vacuous unless edges actually left RAM.
       EXPECT_GT(spilled.graph_spilled_bytes, 0u);
       // Backing files are unlinked at creation: nothing may remain.
@@ -164,7 +164,8 @@ TEST(GraphSpillCheckpoint, SaveWithEdgesOnDiskRestoresWarmAndSpilled) {
   }
   EXPECT_EQ(b.graph_nodes(), a.graph_nodes());
   EXPECT_EQ(b.state_fingerprint(), a.state_fingerprint());
-  EXPECT_EQ(b.fact_subsumed(), a.fact_subsumed());
+  EXPECT_EQ(b.edges_expanded(), a.edges_expanded());
+  EXPECT_EQ(b.edges_reused(), a.edges_reused());
   // restore() re-applies the memory plan: the rebuilt stores spill straight
   // back down to the threshold rather than ballooning resident.
   EXPECT_GT(b.graph_spilled_bytes(), 0u);

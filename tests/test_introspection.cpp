@@ -93,7 +93,9 @@ TEST(Profiler, SamplesAttributeToSpanLabels) {
     const auto until =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(120);
     while (std::chrono::steady_clock::now() < until) {
-      for (int i = 0; i < 1000; ++i) sink += static_cast<std::uint64_t>(i);
+      for (int i = 0; i < 1000; ++i) {
+        sink = sink + static_cast<std::uint64_t>(i);
+      }
     }
   }
   prof.stop();
@@ -249,10 +251,11 @@ TEST(BudgetExhaustion, LedgerAttributesAndFlightDumpReplays) {
   const std::size_t graph_accounts =
       ledger.get(obs::MemAccount::kReachNodes) +
       ledger.get(obs::MemAccount::kReachEdges) +
-      ledger.get(obs::MemAccount::kReachFacts) +
       ledger.get(obs::MemAccount::kReachQuery) +
       ledger.get(obs::MemAccount::kValencyMemo);
   EXPECT_GE(graph_accounts, ledger.total() * 95 / 100);
+  // The fact map is gone; its account is retired and stays at zero.
+  EXPECT_EQ(ledger.peak(obs::MemAccount::kReachFacts), 0u);
 
   // The flight dump replays the run's last moments coherently: phases in
   // construction order, budget checks, and a final trip.
@@ -321,7 +324,6 @@ TEST(SpillIntrospection, SpillBytesGetTheirOwnAccountsAndFlightEvents) {
   const std::size_t named =
       ledger.get(obs::MemAccount::kReachNodes) +
       ledger.get(obs::MemAccount::kReachEdges) +
-      ledger.get(obs::MemAccount::kReachFacts) +
       ledger.get(obs::MemAccount::kReachQuery) +
       ledger.get(obs::MemAccount::kValencyMemo) +
       ledger.get(obs::MemAccount::kArenaSpill) +

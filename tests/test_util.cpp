@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <set>
 
+#include "util/huge_pages.hpp"
 #include "util/interner.hpp"
 #include "util/packing.hpp"
 #include "util/proc_set.hpp"
@@ -14,6 +20,78 @@
 
 namespace tsb::util {
 namespace {
+
+// --- huge-page allocation helper --------------------------------------------
+
+/// True while [p, p + len) is entirely mapped: msync fails with ENOMEM on
+/// any unmapped page.
+bool mapped(const void* p, std::size_t len) {
+  return ::msync(const_cast<void*>(p), len, MS_ASYNC) == 0;
+}
+
+TEST(HugePages, BigBlockSizesRoundUpToWholeBasePages) {
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  EXPECT_EQ(kHugePageBytes, 2 * kMiB);
+  EXPECT_EQ(huge_alloc_size(0), 0u);
+  EXPECT_EQ(huge_alloc_size(4097), 4097u);                 // below: as is
+  EXPECT_EQ(huge_alloc_size(2 * kMiB - 1), 2 * kMiB - 1);
+  EXPECT_EQ(huge_alloc_size(2 * kMiB), 2 * kMiB);
+  EXPECT_EQ(huge_alloc_size(2 * kMiB + 1), 2 * kMiB + page);
+  EXPECT_EQ(huge_alloc_size(5 * kMiB), 5 * kMiB);  // no slack to a huge page
+  EXPECT_EQ(huge_alloc_size(6 * kMiB), 6 * kMiB);
+}
+
+TEST(HugePages, BigBlocksAreAlignedZeroedAndUnmappedOnRelease) {
+  const std::size_t bytes = 3 * kHugePageBytes + 12345;
+  const std::size_t len = huge_alloc_size(bytes);
+  auto* p = static_cast<std::uint8_t*>(huge_alloc(bytes));
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kHugePageBytes, 0u);
+  // The whole page-rounded length is mapped and zero-filled, including the
+  // slack past the requested size.
+  ASSERT_TRUE(mapped(p, len));
+  for (std::size_t off = 0; off < len; off += 4096) EXPECT_EQ(p[off], 0);
+  EXPECT_EQ(p[bytes - 1], 0);
+  EXPECT_EQ(p[len - 1], 0);
+  std::memset(p, 0xAB, bytes);  // writable end to end
+  EXPECT_EQ(p[bytes - 1], 0xAB);
+  huge_free(p, bytes);
+  EXPECT_FALSE(mapped(p, len));
+  EXPECT_EQ(errno, ENOMEM);
+}
+
+TEST(HugePages, SmallBlocksFallBackToZeroedHeapMemory) {
+  const std::size_t bytes = kHugePageBytes - 1;
+  auto* p = static_cast<std::uint8_t*>(huge_alloc(bytes));
+  ASSERT_NE(p, nullptr);
+  EXPECT_TRUE(std::all_of(p, p + bytes, [](std::uint8_t b) { return b == 0; }));
+  std::memset(p, 0x5A, bytes);
+  huge_free(p, bytes);  // free(), not munmap: ASan flags a mismatch
+  auto* tiny = static_cast<std::uint8_t*>(huge_alloc(16));
+  EXPECT_TRUE(std::all_of(tiny, tiny + 16, [](std::uint8_t b) { return b == 0; }));
+  huge_free(tiny, 16);
+  huge_free(nullptr, 16);  // no-op
+}
+
+TEST(HugePages, ArrayOwnsZeroedElementsAndMovesOwnership) {
+  HugeArray<std::uint64_t> a(kHugePageBytes / sizeof(std::uint64_t) + 1);
+  ASSERT_TRUE(a);
+  EXPECT_TRUE(std::all_of(a.begin(), a.end(),
+                          [](std::uint64_t v) { return v == 0; }));
+  a[a.size() - 1] = 42;
+  const std::uint64_t* data = a.data();
+  HugeArray<std::uint64_t> b(std::move(a));
+  EXPECT_FALSE(a);
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_EQ(b.data(), data);
+  EXPECT_EQ(b[b.size() - 1], 42u);
+  a = std::move(b);
+  EXPECT_EQ(a.data(), data);
+  a.reset();
+  EXPECT_FALSE(a);
+  EXPECT_EQ(a.size(), 0u);
+}
 
 TEST(Rng, DeterministicFromSeed) {
   Rng a(42), b(42);

@@ -423,15 +423,12 @@ void RunReport::ingest_audit(const JsonValue& v, const std::string& type) {
     row.expanded = static_cast<std::uint64_t>(v.int_or("expanded", 0));
     row.reused = static_cast<std::uint64_t>(v.int_or("reused", 0));
     row.visited = static_cast<std::uint64_t>(v.int_or("visited", 0));
-    row.from_facts = v.bool_or("from_facts", false);
     row.replay_ok = v.bool_or("replay_ok", true);
     reuse_expanded_ += row.expanded;
     reuse_reused_ += row.reused;
-    if (row.from_facts) ++reuse_fact_answers_;
     if (v.bool_or("truncated", false)) ++reuse_truncated_;
     if (!row.replay_ok) ++reuse_replay_failures_;
     reuse_graph_nodes_ = v.int_or("graph_nodes", reuse_graph_nodes_);
-    reuse_facts_ = v.int_or("facts", reuse_facts_);
     reuse_rows_.push_back(std::move(row));
   } else if (type == "canonical.orbit") {
     ++orbit_records_;
@@ -620,7 +617,7 @@ void RunReport::render_text(std::ostream& out, int top_k) const {
   if (reuse_records_ > 0) {
     // Per-query engine economics: what each reachability pass paid
     // (expanded = fresh protocol steps) versus consumed for free (reused =
-    // stored edges; from_facts = answered with zero graph work). The
+    // stored edges). The
     // heaviest queries first — they are where the engine's sharing either
     // pays or doesn't.
     std::vector<const ReuseRow*> rows;
@@ -634,19 +631,18 @@ void RunReport::render_text(std::ostream& out, int top_k) const {
       rows.resize(static_cast<std::size_t>(top_k));
     }
     util::Table t({"config", "procs", "expanded", "reused", "visited",
-                   "from_facts", "replay"});
+                   "replay"});
     for (const ReuseRow* r : rows) {
       t.row(r->config, r->procs, r->expanded, r->reused, r->visited,
-            r->from_facts ? "yes" : "no", r->replay_ok ? "ok" : "FAILED");
+            r->replay_ok ? "ok" : "FAILED");
     }
     t.print(out, "shared-subgraph valency queries (top " +
                      std::to_string(top_k) + " by traversals)");
     const std::uint64_t total = reuse_expanded_ + reuse_reused_;
-    out << "work saved: " << reuse_reused_ << " stored-edge reuses + "
-        << reuse_fact_answers_ << " fact-answered queries of "
+    out << "work saved: " << reuse_reused_ << " stored-edge reuses of "
         << reuse_records_ << " passes, " << total << " traversals ("
         << fmt(100.0 * reuse_rate()) << "% reused); graph "
-        << reuse_graph_nodes_ << " nodes, " << reuse_facts_ << " facts"
+        << reuse_graph_nodes_ << " nodes"
         << (reuse_truncated_ > 0
                 ? ", " + std::to_string(reuse_truncated_) + " truncated"
                 : "")
@@ -871,16 +867,13 @@ std::string RunReport::baseline_json() const {
       .num("explore_runs", static_cast<std::int64_t>(explore_runs_))
       .num("explore_visited", static_cast<std::int64_t>(explore_visited_));
   if (reuse_records_ > 0) {
-    // Engine traversal counts are deterministic (ids, discovery order and
-    // fact coverage are fixed per protocol + query sequence), so they
+    // Engine traversal counts are deterministic (ids and discovery order
+    // are fixed per protocol + query sequence), so they
     // belong in the baseline: a drift means the sharing changed.
     o.num("reach_passes", static_cast<std::int64_t>(reuse_records_))
         .num("reach_expanded", static_cast<std::int64_t>(reuse_expanded_))
         .num("reach_reused", static_cast<std::int64_t>(reuse_reused_))
-        .num("reach_fact_answers",
-             static_cast<std::int64_t>(reuse_fact_answers_))
         .num("reach_graph_nodes", reuse_graph_nodes_)
-        .num("reach_facts", reuse_facts_)
         .num("reach_replay_failures",
              static_cast<std::int64_t>(reuse_replay_failures_));
   }

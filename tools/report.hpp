@@ -184,18 +184,15 @@ class RunReport {
     std::uint64_t expanded = 0;
     std::uint64_t reused = 0;
     std::uint64_t visited = 0;
-    bool from_facts = false;
     bool replay_ok = true;
   };
   std::vector<ReuseRow> reuse_rows_;
   std::uint64_t reuse_records_ = 0;
   std::uint64_t reuse_expanded_ = 0;
   std::uint64_t reuse_reused_ = 0;
-  std::uint64_t reuse_fact_answers_ = 0;
   std::uint64_t reuse_truncated_ = 0;
   std::uint64_t reuse_replay_failures_ = 0;
   std::int64_t reuse_graph_nodes_ = 0;  ///< last record wins (monotone)
-  std::int64_t reuse_facts_ = 0;        ///< last record wins (monotone)
   std::uint64_t orbit_records_ = 0;
   std::uint64_t orbit_nonidentity_ = 0;
   bool have_pre_escape_ = false;

@@ -62,6 +62,29 @@ class CompareTest(unittest.TestCase):
         _, failures = check_perf.compare(BASE, cur, tolerance=25)
         self.assertEqual(failures, [])
 
+    def test_lemmas_expansion_rate_is_gated(self):
+        base = doc([{"n": 5, "spill": 0, "expanded": 753357,
+                     "expanded_per_sec": 2.0e6}], bench="lemmas")
+        slow = doc([{"n": 5, "spill": 0, "expanded": 753357,
+                     "expanded_per_sec": 1.4e6}], bench="lemmas")
+        rows, failures = check_perf.compare(base, slow, tolerance=25)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("expanded_per_sec", failures[0])
+        statuses = {key: s for _, key, *_, s in rows}
+        self.assertEqual(statuses["expanded_per_sec"], "FAIL")
+        ok = doc([{"n": 5, "spill": 0, "expanded": 753357,
+                   "expanded_per_sec": 1.6e6}], bench="lemmas")
+        _, failures = check_perf.compare(base, ok, tolerance=25)
+        self.assertEqual(failures, [])
+
+    def test_retired_fact_columns_are_not_gated(self):
+        base = doc([{"n": 5, "spill": 0, "expanded": 10,
+                     "fact_answers": 1, "fact_subsumed": 3}], bench="lemmas")
+        cur = doc([{"n": 5, "spill": 0, "expanded": 10}], bench="lemmas")
+        rows, failures = check_perf.compare(base, cur, tolerance=25)
+        self.assertEqual(failures, [])
+        self.assertEqual([key for _, key, *_ in rows], ["expanded"])
+
     def test_missing_row_fails(self):
         cur = doc([{"n": 5, "threads": 1, "configs": 100,
                     "configs_per_sec": 1000.0}])

@@ -294,9 +294,7 @@ int cmd_adversary(int n, int cap, const ObsFlags& obs_flags,
   std::cout << result.narrative << "\n";
   if (opts.reuse) {
     std::cout << "engine: expanded " << result.reach_expanded << " reused "
-              << result.reach_reused << " fact-answered "
-              << result.reach_fact_answers << " fact-subsumed "
-              << result.reach_fact_subsumed << " nodes "
+              << result.reach_reused << " nodes "
               << result.reach_graph_nodes << "\n";
   }
   if (opts.spill_threshold_bytes != 0) {
