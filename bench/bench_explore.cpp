@@ -6,7 +6,10 @@
 // machine's core count measure scheduling overhead, not speedup; the
 // determinism contract means every complete (untruncated) row enumerates
 // the exact same configuration set — discovery order is scheduling-
-// dependent, so truncated rows may legitimately differ.
+// dependent, so truncated rows may legitimately differ. Each row is timed
+// as the median of 5 identical enumerations under --smoke (3 otherwise),
+// whose configuration counts must agree: a ~20 ms smoke row swings with
+// scheduler noise far more than one run can show.
 //
 // Usage: bench_explore [--smoke] [--overhead] [--stats=FILE] [--json=FILE]
 //                      [max_n]
@@ -17,6 +20,7 @@
 //                 by the same analyzer `tsb report` uses
 //   --stats=FILE  stream per-BFS-level stats to FILE during the runs
 //   --json=FILE   machine-readable per-row metrics for tools/check_perf.py
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -71,6 +75,35 @@ RunResult timed_explore(ExplorerT& explorer, const sim::Protocol& proto,
   out.truncated = res.truncated;
   return out;
 }
+
+/// One bench row's repeated runs: the median wall clock over the repeats,
+/// with the last run's counts, which every repeat must share.
+struct Row {
+  int threads = 1;
+  bool spill = false;
+  bool armed = false;       ///< forced spilling was configured
+  bool repeatable = true;   ///< every repeat saw the same counts
+  std::uint64_t steals = 0;  ///< the last repeat's
+  std::uint64_t chunks = 0;
+  std::vector<double> secs{};
+  RunResult last{};
+
+  void add(const RunResult& r) {
+    if (!secs.empty() &&
+        (r.visited != last.visited || r.truncated != last.truncated)) {
+      repeatable = false;
+    }
+    secs.push_back(r.secs);
+    last = r;
+  }
+  RunResult median() const {
+    std::vector<double> sorted = secs;
+    std::sort(sorted.begin(), sorted.end());
+    RunResult m = last;
+    m.secs = sorted[sorted.size() / 2];
+    return m;
+  }
+};
 
 double configs_per_sec(const RunResult& r) {
   return r.secs > 0 ? static_cast<double>(r.visited) / r.secs : 0.0;
@@ -316,6 +349,7 @@ int main(int argc, char** argv) {
   const std::size_t cap = smoke ? 50'000 : 2'000'000;
   const std::vector<int> thread_counts =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
+  const int reps = smoke ? 5 : 3;
 
   if (!stats_file.empty() && !obs::stats_sink().open(stats_file)) {
     std::cerr << "could not open " << stats_file << "\n";
@@ -325,7 +359,8 @@ int main(int argc, char** argv) {
   std::cout << "E12: state-space enumeration throughput, ballot protocol\n"
             << "(config cap " << cap << "; identical configuration sets on\n"
             << "every complete row — see the work-stealing explorer's\n"
-            << "determinism rule; truncated rows may differ by schedule).\n\n";
+            << "determinism rule; truncated rows may differ by schedule;\n"
+            << "seconds = median of " << reps << " runs).\n\n";
 
   util::Table table({"n", "cap", "threads", "spill", "configs", "truncated",
                      "seconds", "configs/sec", "steals", "chunks",
@@ -346,80 +381,83 @@ int main(int argc, char** argv) {
 
   for (int n = min_n; n <= max_n; ++n) {
     consensus::BallotConsensus proto(n, ballot_cap(n));
-    std::size_t seq_visited = 0;
-    bool seq_truncated = false;
-    for (int threads : thread_counts) {
-      RunResult r;
-      std::uint64_t steals = 0;
-      std::uint64_t chunks = 0;
-      if (threads == 1) {
-        sim::Explorer explorer(proto, {.max_configs = cap});
-        r = timed_explore(explorer, proto, n);
-        seq_visited = r.visited;
-        seq_truncated = r.truncated;
-      } else {
-        sim::ParallelExplorer explorer(proto,
-                                       {.max_configs = cap, .threads = threads});
-        r = timed_explore(explorer, proto, n);
-        steals = explorer.last_run().steals;
-        chunks = explorer.last_run().chunks;
-        // Complete runs enumerate exactly the sequential set; truncated
-        // runs stop at the cap along schedule-dependent frontiers, so only
-        // the count of complete runs is checkable here.
-        if (!r.truncated && !seq_truncated && r.visited != seq_visited) {
-          std::cerr << "DETERMINISM VIOLATION: " << threads << " threads saw "
-                    << r.visited << " configs, sequential saw " << seq_visited
-                    << "\n";
-          return 1;
+    // One row per thread count, then the forced-spill leg: the same
+    // sequential enumeration pushed out of core on a tiny threshold. The
+    // visited set is spill-invariant (checked below), so that row isolates
+    // the codec + backing-file overhead; its arena_spill column proves the
+    // run actually left RAM.
+    std::vector<Row> rows;
+    for (int threads : thread_counts) rows.push_back(Row{.threads = threads});
+    rows.push_back(Row{.threads = 1, .spill = true});
+    // Repeats go round-robin over the rows, so a slow spell on a shared
+    // box lands on every row alike instead of on one row's whole median.
+    for (int rep = 0; rep < reps; ++rep) {
+      for (Row& row : rows) {
+        RunResult r;
+        if (row.threads == 1) {
+          sim::Explorer explorer(proto, {.max_configs = cap});
+          if (row.spill) row.armed = explorer.set_spill(".", 256 * 1024, 512);
+          r = timed_explore(explorer, proto, n);
+        } else {
+          sim::ParallelExplorer explorer(
+              proto, {.max_configs = cap, .threads = row.threads});
+          r = timed_explore(explorer, proto, n);
+          row.steals = explorer.last_run().steals;
+          row.chunks = explorer.last_run().chunks;
         }
-      }
-      const double cps = configs_per_sec(r);
-      table.row(n, cap, threads, 0, r.visited, r.truncated, r.secs, cps,
-                steals, chunks,
-                static_cast<double>(obs::peak_rss_kb()) / 1024.0);
-      const std::string tag =
-          "explore.n" + std::to_string(n) + ".t" + std::to_string(threads);
-      reg.gauge(tag + ".configs_per_sec").set(static_cast<std::int64_t>(cps));
-      reg.gauge(tag + ".configs").set(static_cast<std::int64_t>(r.visited));
-      if (json.is_open()) {
-        if (!first_row) json << ",";
-        first_row = false;
-        json << "{\"n\":" << n << ",\"threads\":" << threads << ",\"spill\":0"
-             << ",\"configs\":" << r.visited
-             << ",\"configs_per_sec\":" << cps << ",\"steals\":" << steals
-             << ",\"chunks\":" << chunks
-             << ",\"truncated\":" << (r.truncated ? "true" : "false") << "}";
+        row.add(r);
       }
     }
-    // Forced-spill leg: the same sequential enumeration pushed out of core
-    // on a tiny threshold. The visited set is spill-invariant (checked
-    // below), so the row isolates the codec + backing-file overhead; the
-    // arena_spill column proves the run actually left RAM.
-    {
-      sim::Explorer explorer(proto, {.max_configs = cap});
-      const bool armed = explorer.set_spill(".", 256 * 1024, 512);
-      const RunResult r = timed_explore(explorer, proto, n);
-      if (armed && !r.truncated && !seq_truncated &&
-          r.visited != seq_visited) {
-        std::cerr << "DETERMINISM VIOLATION: spilled run saw " << r.visited
-                  << " configs, resident saw " << seq_visited << "\n";
+    const RunResult seq = rows.front().median();
+    for (const Row& row : rows) {
+      const RunResult r = row.median();
+      if (!row.repeatable) {
+        std::cerr << "NOT REPEATABLE: n=" << n << " threads=" << row.threads
+                  << " spill=" << row.spill
+                  << " configs differ between repeated runs\n";
         return 1;
       }
-      const std::size_t spill_bytes = static_cast<std::size_t>(
-          obs::MemLedger::global().peak(obs::MemAccount::kArenaSpill));
-      if (armed && spill_bytes == 0) {
+      // Complete runs enumerate exactly the sequential set; truncated
+      // runs stop at the cap along schedule-dependent frontiers, so only
+      // the count of complete runs is checkable here.
+      if (!r.truncated && !seq.truncated && r.visited != seq.visited) {
+        std::cerr << "DETERMINISM VIOLATION: threads=" << row.threads
+                  << " spill=" << row.spill << " saw " << r.visited
+                  << " configs, sequential saw " << seq.visited << "\n";
+        return 1;
+      }
+      const std::size_t spill_bytes =
+          row.spill ? static_cast<std::size_t>(obs::MemLedger::global().peak(
+                          obs::MemAccount::kArenaSpill))
+                    : 0;
+      if (row.armed && spill_bytes == 0) {
         std::cerr << "SPILL NEVER ENGAGED: forced-spill row stayed resident\n";
         return 1;
       }
       const double cps = configs_per_sec(r);
-      table.row(n, cap, 1, 1, r.visited, r.truncated, r.secs, cps, 0, 0,
+      table.row(n, cap, row.threads, row.spill ? 1 : 0, r.visited,
+                r.truncated, r.secs, cps, row.steals, row.chunks,
                 static_cast<double>(obs::peak_rss_kb()) / 1024.0);
+      if (!row.spill) {
+        const std::string tag = "explore.n" + std::to_string(n) + ".t" +
+                                std::to_string(row.threads);
+        reg.gauge(tag + ".configs_per_sec")
+            .set(static_cast<std::int64_t>(cps));
+        reg.gauge(tag + ".configs").set(static_cast<std::int64_t>(r.visited));
+      }
       if (json.is_open()) {
-        json << ",{\"n\":" << n << ",\"threads\":1,\"spill\":1"
+        if (!first_row) json << ",";
+        first_row = false;
+        json << "{\"n\":" << n << ",\"threads\":" << row.threads
+             << ",\"spill\":" << (row.spill ? 1 : 0)
              << ",\"configs\":" << r.visited
-             << ",\"configs_per_sec\":" << cps
-             << ",\"arena_spill\":" << spill_bytes
-             << ",\"truncated\":" << (r.truncated ? "true" : "false") << "}";
+             << ",\"configs_per_sec\":" << cps;
+        if (row.spill) {
+          json << ",\"arena_spill\":" << spill_bytes;
+        } else {
+          json << ",\"steals\":" << row.steals << ",\"chunks\":" << row.chunks;
+        }
+        json << ",\"truncated\":" << (r.truncated ? "true" : "false") << "}";
       }
     }
     reg.gauge("explore.peak_rss_kb").set(obs::peak_rss_kb());

@@ -69,10 +69,7 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
                         .reuse = opts_.reuse,
                         .spill_dir = opts_.spill_dir,
                         .spill_threshold_bytes = opts_.spill_threshold_bytes,
-                        .spill_seg_configs = opts_.spill_seg_configs,
-                        .graph_spill = opts_.graph_spill,
-                        .chunk_configs = opts_.chunk_configs,
-                        .parallel_threshold = opts_.parallel_threshold});
+                        .spill_seg_configs = opts_.spill_seg_configs});
 
   // Checkpoint/resume wiring. The serializer captures the oracle by
   // reference, so it must be unregistered on every exit path before the
@@ -148,8 +145,6 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
         .num("threads", opts_.threads)
         .boolean("reuse", opts_.reuse)
         .boolean("spill", opts_.spill_threshold_bytes != 0)
-        .boolean("graph_spill",
-                 opts_.spill_threshold_bytes != 0 && opts_.graph_spill)
         .boolean("symmetric", proto_.symmetric());
     obs::audit_sink().write(ev.render());
   }

@@ -17,8 +17,10 @@ class SpaceBoundAdversary {
  public:
   struct Options {
     std::size_t valency_max_configs = 2'000'000;
-    /// Worker threads for the oracle's reachability passes (> 1 uses the
-    /// parallel explorer; results are identical at any thread count).
+    /// Worker threads for the reuse = false backend's fresh-BFS passes
+    /// (> 1 uses the parallel explorer with its default tuning); the
+    /// shared engine always runs on one thread. Results are identical at
+    /// any thread count.
     int threads = 1;
     bool narrative = false;  ///< record a human-readable walkthrough
     /// Graceful-degradation budgets passed through to the valency oracle
@@ -39,13 +41,6 @@ class SpaceBoundAdversary {
     std::string spill_dir = ".";
     std::size_t spill_threshold_bytes = 0;
     std::size_t spill_seg_configs = 0;
-    /// Spill the shared engine's edge arrays too (ValencyOracle::Options::
-    /// graph_spill); false reproduces the PR 7 node-arena-only behaviour.
-    bool graph_spill = true;
-    /// Work-stealing tuning for the --no-reuse parallel backend; 0 keeps
-    /// the explorer defaults (see ValencyOracle::Options).
-    std::uint32_t chunk_configs = 0;
-    std::size_t parallel_threshold = 0;
     /// Crash-safe campaigns: non-empty = checkpoint the oracle's session
     /// state (roots, memo, shared graph) into this directory at the
     /// engines' quiescent points, every `checkpoint_interval_ms` of wall

@@ -100,12 +100,10 @@ sim::ReachGraph& ValencyOracle::ensure_graph() {
     graph_ = std::make_unique<sim::ReachGraph>(
         proto_, sim::ReachGraph::Options{
                     .max_configs = opts_.max_configs,
-                    .threads = opts_.threads,
                     .max_arena_bytes = opts_.max_arena_bytes,
                     .spill_dir = opts_.spill_dir,
                     .spill_threshold_bytes = opts_.spill_threshold_bytes,
-                    .spill_seg_configs = opts_.spill_seg_configs,
-                    .graph_spill = opts_.graph_spill});
+                    .spill_seg_configs = opts_.spill_seg_configs});
     graph_->set_deadline(deadline_);
   }
   return *graph_;
@@ -273,10 +271,6 @@ ValencyOracle::PairAnswer ValencyOracle::compute_pair(const Config& c,
       sim::ParallelExplorer::Options popts;
       popts.max_configs = opts_.max_configs;
       popts.threads = opts_.threads;
-      if (opts_.chunk_configs != 0) popts.chunk_configs = opts_.chunk_configs;
-      if (opts_.parallel_threshold != 0) {
-        popts.parallel_threshold = opts_.parallel_threshold;
-      }
       par_.emplace(proto_, popts);
       par_->set_budget(opts_.max_arena_bytes, deadline_);
       if (opts_.spill_threshold_bytes != 0 && !opts_.spill_dir.empty()) {
@@ -391,6 +385,13 @@ void ValencyOracle::restore_state(util::ckpt::SectionReader& r) {
       a.can[v] = r.get_u8() != 0;
       a.witness_id[v] = r.get_u32();
       const std::uint32_t len = r.get_u32();
+      // One byte per step: a length past the payload is hostile, and must
+      // be refused before reserve() asks for up to 16 GiB.
+      if (len > r.remaining()) {
+        throw util::CheckpointInvalid(
+            "checkpoint memo witness length " + std::to_string(len) +
+            " runs past its section");
+      }
       std::vector<sim::ProcId> steps;
       steps.reserve(len);
       for (std::uint32_t s = 0; s < len; ++s) {

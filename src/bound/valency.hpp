@@ -56,9 +56,10 @@ class ValencyOracle {
  public:
   struct Options {
     std::size_t max_configs = 2'000'000;
-    /// Worker threads for each reachability pass; > 1 switches to the
-    /// ParallelExplorer (reuse = false) or the engine's level-batched
-    /// expansion (reuse = true). Identical results either way.
+    /// Worker threads for the reuse = false backend: > 1 switches each
+    /// fresh-BFS pass to the ParallelExplorer (with its default
+    /// work-stealing tuning). The shared engine (reuse = true) always runs
+    /// on the caller's thread. Identical results either way.
     int threads = 1;
     /// Graceful-degradation budgets. When a reachability pass would push
     /// the arena past `max_arena_bytes` (0 = uncapped), or any pass runs
@@ -79,21 +80,12 @@ class ValencyOracle {
     /// max_arena_bytes keeps capping RAM (spilled bytes leave it), so
     /// spill + budget together turn "OOM at n = 7" into "slower but
     /// finishes". spill_seg_configs (0 = default) shrinks segments so
-    /// tests/CI can force spilling on tiny campaigns.
+    /// tests/CI can force spilling on tiny campaigns. With reuse = true
+    /// the shared engine's per-node edge data spills alongside its node
+    /// arena.
     std::string spill_dir = ".";
     std::size_t spill_threshold_bytes = 0;
     std::size_t spill_seg_configs = 0;
-    /// Out-of-core edge arrays: with spilling enabled, the shared engine's
-    /// per-node edge data spills alongside the node arena. False keeps the
-    /// PR 7 behaviour (edge arrays always resident) for A/B comparisons.
-    /// Purely a memory-plan knob — verdicts and witnesses never change, so
-    /// it is excluded from the checkpoint fingerprint.
-    bool graph_spill = true;
-    /// Work-stealing tuning for the reuse = false parallel backend
-    /// (ParallelExplorer::Options::chunk_configs / parallel_threshold);
-    /// 0 keeps each explorer default. Purely perf — verdicts never change.
-    std::uint32_t chunk_configs = 0;
-    std::size_t parallel_threshold = 0;
   };
 
   explicit ValencyOracle(const Protocol& proto)

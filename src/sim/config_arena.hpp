@@ -123,8 +123,8 @@ class ConfigArena {
 
   /// Intern an externally staged word sequence (words_per_config() words).
   /// `w` must not alias the arena's own word store. The reachability
-  /// engine's batched expansion stages successor words in per-slot buffers
-  /// and interns them through this.
+  /// engine interns its projected query roots, and re-interns checkpointed
+  /// node words on restore, through this.
   Interned intern_words(const Value* w);
 
   /// intern_words with the hash precomputed (must be hash_words(w)). Pair

@@ -3,8 +3,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <unordered_map>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "sim/config_arena.hpp"
 #include "sim/engine.hpp"
 #include "util/spill_store.hpp"
-#include "util/worker_pool.hpp"
 
 namespace tsb::util::ckpt {
 class SectionWriter;
@@ -60,18 +58,16 @@ namespace tsb::sim {
 ///    relation commutes with every process permutation, so orbit-translated
 ///    queries have literally the same P-only execution trees.
 ///
-/// Determinism: node ids, discovery order and witnesses are identical for
-/// every thread count. With threads > 1 the per-level protocol steps
-/// (successor words, hashes, renamings) are precomputed into per-slot
-/// buffers by a WorkerPool, but interning happens on the query thread in
-/// exactly the inline order (entry order, ascending process id).
+/// Determinism: the engine runs on the caller's thread alone. Node ids,
+/// discovery order and witnesses depend only on the query sequence (entry
+/// order, ascending process id), so the adversary's `threads` setting —
+/// which only selects the --no-reuse fresh-BFS backend — never reaches it.
 class ReachGraph {
  public:
   struct Options {
     /// Per-query visited cap (BFS entries); hitting it truncates the query
     /// (negative answers unsound — callers surface ever_truncated).
     std::size_t max_configs = 2'000'000;
-    int threads = 1;
     /// Whole-engine heap budget (0 = uncapped). Unlike the fresh-BFS
     /// explorers this is cumulative across queries — the shared graph is
     /// the point — so once tripped, every later query throws
@@ -88,15 +84,12 @@ class ReachGraph {
     std::string spill_dir = ".";
     std::size_t spill_threshold_bytes = 0;
     /// Configs per arena segment (power of two, 0 = default ~4 MB): CI
-    /// smoke tests shrink it to force spilling on small campaigns.
+    /// smoke tests shrink it to force spilling on small campaigns. With
+    /// spilling enabled the per-node edge data (successor ids, per-edge
+    /// renamings, decide flags) spills too: each store's cold full
+    /// segments compress to the same-format backing files once their
+    /// combined resident bytes exceed spill_threshold_bytes.
     std::size_t spill_seg_configs = 0;
-    /// Out-of-core edge arrays: with spilling enabled, the per-node edge
-    /// data (successor ids, per-edge renamings, decide flags) also spills
-    /// — each store's cold full segments compress to the same-format
-    /// backing files once their combined resident bytes exceed
-    /// spill_threshold_bytes. False reproduces the PR 7 behaviour (node
-    /// arena spills, edge arrays stay resident) for A/B runs.
-    bool graph_spill = true;
   };
 
   ReachGraph(const Protocol& proto, Options opts);
@@ -209,8 +202,6 @@ class ReachGraph {
 
   void register_config(ConfigId id);
   void compute_successor(ConfigId id, int q, Value* out, ProcPerm* sigma) const;
-  ConfigId expand_edge(ConfigId id, int q, ProcPerm* sigma);
-  void precompute_level(std::uint32_t lo, std::uint32_t hi);
   void check_budget();
   void update_ledger() const;
   /// Per-query scratch bytes (the reach.query ledger account).
@@ -251,18 +242,11 @@ class ReachGraph {
   std::vector<std::uint32_t> mark_epoch_;  ///< asymmetric visited marks
   std::uint32_t epoch_ = 0;
   std::unordered_set<std::uint64_t> visited_;  ///< symmetric (id, pbits)
-  std::vector<Value> stage_;      ///< inline expansion staging buffer
+  std::vector<Value> stage_;      ///< intern_node/restore staging buffer
   std::vector<Value> exp_words_;  ///< per-process successor staging: the
                                   ///< expansion loop computes and hashes a
                                   ///< whole entry's successors (prefetching
                                   ///< their dedup slots) before interning any
-
-  // Level-batched parallel expansion (threads > 1).
-  std::unique_ptr<util::WorkerPool> pool_;
-  std::unordered_map<std::uint64_t, std::uint32_t> batch_index_;
-  std::vector<std::uint64_t> batch_keys_;
-  std::vector<Value> batch_words_;
-  std::vector<std::uint64_t> batch_perms_;
 };
 
 }  // namespace tsb::sim

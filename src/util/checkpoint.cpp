@@ -259,6 +259,15 @@ std::string SectionReader::next() {
   const std::uint64_t len = rd64(hdr);
   const std::uint32_t want_crc = rd32(hdr + 8);
   if (name_len == 0 && len != 0) fail("END sentinel carries a payload");
+  // A hostile length must not reach resize(): bound it by the bytes the
+  // file still holds, so a flipped high bit is a refusal, not bad_alloc.
+  struct stat st {};
+  const off_t at = ::lseek(fd_, 0, SEEK_CUR);
+  if (::fstat(fd_, &st) != 0 || at < 0) fail("cannot size the state file");
+  if (len > static_cast<std::uint64_t>(st.st_size - at)) {
+    fail("section length " + std::to_string(len) + " runs past the end of " +
+         "the file (" + std::to_string(st.st_size - at) + " bytes left)");
+  }
   payload_.resize(len);
   if (len > 0 && !iofault::read_full(fd_, payload_.data(), len)) {
     fail("truncated section payload (" + std::to_string(len) + " bytes)");

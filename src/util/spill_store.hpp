@@ -236,8 +236,8 @@ class BackingFile {
 /// thread-local buffer and never faults anything in.
 ///
 /// Thread safety: none — callers are externally synchronized (the reach
-/// graph touches its edge stores only from the query thread; its worker
-/// pool reads the ConfigArena, never these).
+/// graph is single-threaded and touches its edge stores only from the
+/// query thread).
 template <class W>
 class SpillStore {
  public:

@@ -232,21 +232,16 @@ TEST(ParseArgs, SpillDefaultsAndValidation) {
   EXPECT_FALSE(parse_args({"--spill-seg-configs=0"}).ok);
 }
 
-TEST(ParseArgs, WorkStealingKnobs) {
-  const auto r = parse_args({"adversary", "--chunk-configs=64",
-                             "--parallel-threshold", "1024", "--no-reuse"});
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.flags.chunk_configs, 64u);
-  EXPECT_EQ(r.flags.parallel_threshold, 1024u);
-  // Defaults: 0 = keep the explorer's built-in tuning.
-  const auto d = parse_args({});
-  EXPECT_EQ(d.flags.chunk_configs, 0u);
-  EXPECT_EQ(d.flags.parallel_threshold, 0u);
-  EXPECT_FALSE(parse_args({"--chunk-configs=0"}).ok);
-  EXPECT_FALSE(parse_args({"--chunk-configs=many"}).ok);
-  // --parallel-threshold=0 parses (explicit "keep the default").
-  EXPECT_TRUE(parse_args({"--parallel-threshold=0"}).ok);
-  EXPECT_FALSE(parse_args({"--parallel-threshold=soon"}).ok);
+TEST(ParseArgs, RetiredTuningFlagsAreUnknown) {
+  // The edge-spill A/B switch and the --no-reuse work-stealing tuning are
+  // gone; the parallel backend runs on ParallelExplorer's defaults.
+  for (const char* flag :
+       {"--no-graph-spill", "--chunk-configs=64", "--parallel-threshold=1024"}) {
+    SCOPED_TRACE(flag);
+    const auto r = parse_args({"adversary", flag});
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("unknown flag"), std::string::npos) << r.error;
+  }
 }
 
 TEST(ParseArgs, TopSubcommandOnce) {

@@ -4,7 +4,8 @@
 // not a semantics change —
 //
 //   * a forced-spill campaign produces the IDENTICAL verdict, certificate,
-//     and expansion count as the fully-resident run, at any thread count;
+//     and expansion count as the fully-resident run, at any thread count
+//     (the shared engine runs on one thread whatever `threads` says);
 //   * a checkpoint taken while edge segments are on disk restores into a
 //     warm oracle that answers without re-exploration;
 //   * a write failure on an edge-segment append degrades to
@@ -53,7 +54,7 @@ std::size_t dir_entries(const std::string& d) {
 }
 
 bound::SpaceBoundAdversary::Result run_adversary(int n, int cap, int threads,
-                                                 bool spill, bool graph_spill,
+                                                 bool spill,
                                                  const std::string& dir) {
   consensus::BallotConsensus proto(n, cap);
   bound::SpaceBoundAdversary::Options opts;
@@ -64,7 +65,6 @@ bound::SpaceBoundAdversary::Result run_adversary(int n, int cap, int threads,
     // every store leaves RAM at each quiescent point, on test-sized runs.
     opts.spill_threshold_bytes = 1;
     opts.spill_seg_configs = 64;
-    opts.graph_spill = graph_spill;
   }
   bound::SpaceBoundAdversary adversary(proto, opts);
   return adversary.run();
@@ -85,21 +85,21 @@ void expect_same_certificate(const bound::SpaceBoundAdversary::Result& a,
 TEST(GraphSpill, ForcedEdgeSpillingMatchesResidentAtAnyThreadCount) {
   const std::pair<int, int> cases[] = {{3, 6}, {4, 8}, {5, 15}};
   for (const auto& [n, cap] : cases) {
-    const auto resident = run_adversary(n, cap, 1, false, false, "");
+    const auto resident = run_adversary(n, cap, 1, false, "");
     ASSERT_TRUE(resident.ok) << "n=" << n << ": " << resident.error;
     ASSERT_TRUE(resident.check.ok) << resident.check.error;
     EXPECT_EQ(resident.graph_spilled_bytes, 0u);
-    for (const int threads : {1, 2, 4}) {
+    for (const int threads : {1, 4}) {
       SCOPED_TRACE("n=" + std::to_string(n) +
                    " threads=" + std::to_string(threads));
       const std::string dir = tdir("diff_n" + std::to_string(n) + "_t" +
                                    std::to_string(threads));
-      const auto spilled = run_adversary(n, cap, threads, true, true, dir);
+      const auto spilled = run_adversary(n, cap, threads, true, dir);
       ASSERT_TRUE(spilled.ok) << spilled.error;
       EXPECT_TRUE(spilled.check.ok) << spilled.check.error;
       expect_same_certificate(resident, spilled);
-      // The engine's discovery order is bit-identical at any thread count,
-      // so the expansion counter must match exactly, not approximately.
+      // `threads` never reaches the shared engine, so its discovery order
+      // and both edge counters must match exactly, not approximately.
       EXPECT_EQ(spilled.reach_expanded, resident.reach_expanded);
       EXPECT_EQ(spilled.reach_reused, resident.reach_reused);
       // The test is vacuous unless edges actually left RAM.
@@ -110,29 +110,13 @@ TEST(GraphSpill, ForcedEdgeSpillingMatchesResidentAtAnyThreadCount) {
   }
 }
 
-TEST(GraphSpill, NoGraphSpillFlagKeepsEdgesResidentWithSameVerdict) {
-  // --no-graph-spill reproduces the node-arena-only behaviour: the A/B
-  // anchor for attributing wins to edge spilling specifically.
-  const auto full = run_adversary(4, 8, 1, true, true, tdir("ab_full"));
-  const auto arena_only =
-      run_adversary(4, 8, 1, true, false, tdir("ab_arena"));
-  ASSERT_TRUE(full.ok) << full.error;
-  ASSERT_TRUE(arena_only.ok) << arena_only.error;
-  expect_same_certificate(full, arena_only);
-  EXPECT_EQ(arena_only.reach_expanded, full.reach_expanded);
-  EXPECT_GT(full.graph_spilled_bytes, 0u);
-  EXPECT_EQ(arena_only.graph_spilled_bytes, 0u);
-}
-
 // --- Checkpoint while edges are on disk -------------------------------------
 
-bound::ValencyOracle::Options spill_opts(const std::string& dir,
-                                         bool graph_spill = true) {
+bound::ValencyOracle::Options spill_opts(const std::string& dir) {
   bound::ValencyOracle::Options o;
   o.spill_dir = dir;
   o.spill_threshold_bytes = 1;
   o.spill_seg_configs = 64;
-  o.graph_spill = graph_spill;
   return o;
 }
 
@@ -173,41 +157,6 @@ TEST(GraphSpillCheckpoint, SaveWithEdgesOnDiskRestoresWarmAndSpilled) {
   EXPECT_EQ(b.can_decide(init, everyone, 0), can0);
   EXPECT_EQ(b.explorations(), 0u)
       << "restored spilled state missed the memo and re-explored";
-}
-
-TEST(GraphSpillCheckpoint, SpilledStateRestoresIntoEdgeResidentOracle) {
-  // graph_spill is a pure memory-plan knob, excluded from the fingerprint
-  // (unlike spill_thresh/spill_seg, which shape the arena layout): a
-  // campaign may checkpoint with edges on disk and resume with them
-  // resident, e.g. for an A/B run on the same warm state.
-  consensus::BallotConsensus proto(3, 6);
-  const sim::Config init = sim::initial_config(proto, {0, 1, 1});
-  const sim::ProcSet everyone = sim::ProcSet::first_n(3);
-
-  bound::ValencyOracle spilled(proto, spill_opts(tdir("xr_a")));
-  const bool biv = spilled.bivalent(init, everyone);
-
-  const std::string path = tdir("xr_state") + "/state.bin";
-  {
-    SectionWriter w(path);
-    spilled.save_state(w);
-    w.finish();
-  }
-
-  // Same arena spill plan, edge spilling off.
-  bound::ValencyOracle resident(proto,
-                                spill_opts(tdir("xr_b"), /*graph_spill=*/false));
-  EXPECT_EQ(resident.state_fingerprint(), spilled.state_fingerprint());
-  {
-    SectionReader r(path);
-    resident.restore_state(r);
-    r.expect_end();
-  }
-  EXPECT_EQ(resident.graph_nodes(), spilled.graph_nodes());
-  EXPECT_EQ(resident.graph_spilled_bytes(), 0u)
-      << "graph_spill=false restore still pushed edges to disk";
-  EXPECT_EQ(resident.bivalent(init, everyone), biv);
-  EXPECT_EQ(resident.explorations(), 0u);
 }
 
 // --- Hostile I/O ------------------------------------------------------------

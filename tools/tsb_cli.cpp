@@ -45,9 +45,10 @@
 //   --profile-hz=HZ  sampling rate (default 200)
 //   --once           tsb top: render one frame and exit (CI-friendly)
 //   --valency-cap=N  valency oracle configuration cap (adversary only)
-//   --threads=N      exploration worker threads (adversary and check);
-//                    0 = all hardware threads; results are identical at
-//                    any thread count
+//   --threads=N      exploration worker threads for `check` and for
+//                    `adversary --no-reuse` (the shared valency engine
+//                    runs on one thread); 0 = all hardware threads;
+//                    results are identical at any thread count
 //   --top=K          report: how many hottest registers to show (default 5)
 //   --baseline=FILE  report: write the one-line baseline JSON to FILE
 //
@@ -68,20 +69,12 @@
 //                    cold arena segments are delta/varint-compressed to an
 //                    unlinked backing file and read back through mmap; the
 //                    ledger tracks disk bytes under arena.spill. The shared
-//                    engine's edge arrays spill the same way (graph.spill)
-//                    unless --no-graph-spill. 0 = off.
+//                    engine's edge arrays spill the same way
+//                    (graph.spill). 0 = off.
 //   --spill-dir=DIR  where the backing files live (default "."; pick a
 //                    real disk, not tmpfs, or spilling cannot free RAM)
 //   --spill-seg-configs=N  configs per arena/edge segment (testing/CI:
 //                    small values force spilling on small campaigns)
-//   --no-graph-spill  keep the edge arrays resident (node arena still
-//                    spills): the pre-edge-spill memory plan, for A/B runs
-//
-// Work-stealing knobs (tsb adversary --no-reuse; pure perf tuning —
-// verdicts are identical at any setting):
-//   --chunk-configs=N       configs per stealable work item (default 256)
-//   --parallel-threshold=N  visited count at which the warm sequential
-//                           phase hands off to the worker pool (32768)
 //
 // Crash-safe campaigns (tsb adversary / tsb resume):
 //   --checkpoint-dir=DIR    checkpoint the oracle's session state (roots,
@@ -185,8 +178,8 @@ int usage() {
          "  tsb monitor <file.tsl> [--once]  trend view of a --telemetry file\n"
          "flags: --trace=FILE --stats=FILE --audit=FILE --metrics "
          "--progress\n"
-         "       --valency-cap=N --threads=N (0 = all cores) --top=K "
-         "--baseline=FILE\n"
+         "       --valency-cap=N --threads=N (check, adversary --no-reuse;\n"
+         "       0 = all cores) --top=K --baseline=FILE\n"
          "introspection: --progress-interval-ms=MS --status-file=FILE\n"
          "       --telemetry=FILE --flight=FILE --profile --profile-hz=HZ\n"
          "chaos: --runs=N --seed=S --n=P --targets=LIST|all --mix=LIST|all\n"
@@ -196,8 +189,6 @@ int usage() {
          "                   shared-subgraph engine)\n"
          "out-of-core: --spill-threshold=BYTES[k|m|g] --spill-dir=DIR\n"
          "             --spill-seg-configs=N (segment size, testing)\n"
-         "             --no-graph-spill (edge arrays stay resident)\n"
-         "work stealing: --chunk-configs=N --parallel-threshold=N\n"
          "checkpointing: --checkpoint-dir=DIR --checkpoint-interval-ms=MS\n"
          "               --checkpoint-every=N (SIGTERM/SIGINT = checkpoint\n"
          "               and stop; continue with tsb resume DIR)\n"
@@ -259,10 +250,6 @@ int cmd_adversary(int n, int cap, const ObsFlags& obs_flags,
       static_cast<std::size_t>(obs_flags.spill_threshold);
   opts.spill_seg_configs =
       static_cast<std::size_t>(obs_flags.spill_seg_configs);
-  opts.graph_spill = !obs_flags.no_graph_spill;
-  opts.chunk_configs = static_cast<std::uint32_t>(obs_flags.chunk_configs);
-  opts.parallel_threshold =
-      static_cast<std::size_t>(obs_flags.parallel_threshold);
   opts.checkpoint_dir = checkpoint_dir;
   opts.checkpoint_interval_ms = obs_flags.checkpoint_interval_ms;
   opts.checkpoint_every = obs_flags.checkpoint_every;

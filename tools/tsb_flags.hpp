@@ -50,16 +50,10 @@ struct ObsFlags {
   std::uint64_t mem_budget = 0;      ///< --mem-budget=BYTES[k|m|g]; 0 = off
   std::uint64_t time_budget_ms = 0;  ///< --time-budget-ms=MS; 0 = off
 
-  // Out-of-core spilling and work-stealing knobs (tsb adversary / check).
+  // Out-of-core spilling (tsb adversary).
   std::string spill_dir = ".";        ///< --spill-dir=DIR (backing file home)
   std::uint64_t spill_threshold = 0;  ///< --spill-threshold=BYTES[k|m|g]; 0=off
   std::uint64_t spill_seg_configs = 0;///< --spill-seg-configs=N; 0 = default
-  /// --no-graph-spill: with --spill-threshold set, keep the shared
-  /// engine's edge arrays resident (node arena still spills) — the PR 7
-  /// memory plan, kept for A/B runs against out-of-core edge storage.
-  bool no_graph_spill = false;
-  std::uint64_t chunk_configs = 0;    ///< --chunk-configs=N; 0 = default
-  std::uint64_t parallel_threshold = 0;  ///< --parallel-threshold=N; 0=default
 
   /// --no-reuse: run valency queries on the fresh-BFS-per-query backend
   /// instead of the shared-subgraph engine (differential anchor / A-B
@@ -168,8 +162,6 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
       }
     } else if (a == "--no-reuse") {
       out.flags.no_reuse = true;
-    } else if (a == "--no-graph-spill") {
-      out.flags.no_graph_spill = true;
     } else if (a == "--metrics") {
       out.flags.metrics = true;
     } else if (a == "--progress") {
@@ -275,13 +267,6 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
       if (bad_value || out.flags.spill_seg_configs == 0) {
         return fail("bad --spill-seg-configs (want >= 1)");
       }
-    } else if (u64_flag("--chunk-configs", &out.flags.chunk_configs)) {
-      if (bad_value || out.flags.chunk_configs == 0) {
-        return fail("bad --chunk-configs (want >= 1)");
-      }
-    } else if (u64_flag("--parallel-threshold",
-                        &out.flags.parallel_threshold)) {
-      if (bad_value) return fail("bad --parallel-threshold");
     } else if (value_flag("--checkpoint-dir", &out.flags.checkpoint_dir)) {
       if (bad_value || out.flags.checkpoint_dir.empty()) {
         return fail("--checkpoint-dir needs a directory");
