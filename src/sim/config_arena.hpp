@@ -1,10 +1,8 @@
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,9 +22,9 @@ inline constexpr ConfigId kNoConfig = 0xFFFFFFFFu;
 
 /// Zero-copy read access to one interned configuration: `states` and `regs`
 /// point directly into the arena's resident segment (or, for a spilled
-/// segment, into a thread-local decode buffer that the next words()/view()
-/// call on the same thread overwrites). Visitors that need to retain a
-/// configuration call materialize().
+/// segment, into a thread-local decode buffer that the next read of a
+/// spilled configuration on the same thread overwrites). Visitors that
+/// need to retain a configuration call materialize().
 struct ConfigView {
   ConfigId id = kNoConfig;
   const Value* states = nullptr;
@@ -53,43 +51,37 @@ inline std::optional<Value> decision_of(const Protocol& proto,
 /// Packed, interned, out-of-core configuration storage.
 ///
 /// A configuration of an (n, m) protocol is exactly n state words followed
-/// by m register words. The arena stores them back to back in fixed-size
-/// SEGMENTS (a power-of-two number of configurations each, sized to a few
-/// MB) allocated flat — the geas Vec idiom: no per-configuration
-/// allocation, no reallocation copying, and word pointers stay stable for
-/// the lifetime of a segment's residency. Segments and the dedup table sit
-/// on huge_alloc storage (util/huge_pages.hpp), so where transparent huge
-/// pages are available the random probes of a table of hundreds of MB do
-/// not also miss the TLB on every access. Deduplication goes through an
-/// open-addressing hash table of 8-byte slots (a 32-bit hash tag plus the
-/// id), so a probe touches the word data only on a tag match and the table
-/// stays half the size a full-hash layout would need. Growth re-derives
-/// each slot's bucket by rehashing its words from the store.
+/// by m register words. The arena keeps them in one util::spill::SpillStore
+/// of stride n + m (util/spill_store.hpp): flat ~4 MB segments on
+/// huge_alloc storage, no per-configuration allocation, no reallocation
+/// copying, word pointers stable while a segment is resident, and the
+/// store's spill format, directory and concurrency contract. The arena
+/// itself is the dedup index: an open-addressing hash table of 8-byte slots
+/// (a 32-bit hash tag plus the id) on huge_alloc storage, so where
+/// transparent huge pages are available the random probes of a table of
+/// hundreds of MB do not also miss the TLB on every access. A probe touches
+/// the word data only on a tag match, and the table stays half the size a
+/// full-hash layout would need.
 ///
-/// Out-of-core operation (set_spill): when resident word bytes exceed the
-/// spill threshold, maybe_spill() takes cold FULL segments (lowest ids
-/// first — in BFS id order those are the oldest levels), delta/varint
-/// compresses them against the previous configuration in the segment (most
-/// successors differ from a neighbour in one or two slots), appends the
-/// compressed block to an unlinked backing file in the spill directory,
-/// maps it read-only, and frees the resident array. words() on a spilled
-/// id decodes the configuration into a thread-local buffer. Spilling only
-/// happens inside maybe_spill(), which callers invoke at quiescent points
-/// (level boundaries, or the parallel explorer's stop-the-world
+/// Out-of-core operation (set_spill): once resident word bytes exceed the
+/// spill threshold, maybe_spill() moves cold FULL segments (lowest ids
+/// first: in BFS id order those are the oldest levels) to disk; most
+/// successors differ from their neighbour in one or two slots, so the
+/// store's delta codec compresses them well. words() on a spilled id
+/// decodes into a thread-local buffer. Callers spill only at quiescent
+/// points (level boundaries, or the parallel explorer's stop-the-world
 /// rendezvous), so readers never race a segment teardown.
 ///
 /// Thread safety: interning and spilling are single-threaded (externally
 /// synchronized). Concurrent READERS (words/view) plus concurrent WRITERS
-/// to distinct reserved ids are safe between spills: the segment directory
-/// is an atomic snapshot array and ensure_capacity() publishes fully
-/// initialized segments before exposing them.
+/// to distinct reserved ids (ensure_capacity + slot_ptr) are safe between
+/// spills: the store's contract.
 ///
 /// Usage: build the next configuration's words in scratch(), then
 /// intern_scratch(). The id space is dense and insertion-ordered.
 class ConfigArena {
  public:
   ConfigArena(int num_states, int num_regs);
-  ~ConfigArena();
 
   ConfigArena(const ConfigArena&) = delete;
   ConfigArena& operator=(const ConfigArena&) = delete;
@@ -99,8 +91,8 @@ class ConfigArena {
   std::size_t words_per_config() const { return words_; }
   std::size_t size() const { return count_; }
 
-  /// Drop all configurations but keep the allocations for reuse. Unmaps
-  /// spilled blocks and truncates the backing file.
+  /// Drop all configurations but keep the allocations for reuse. Re-arms
+  /// spilled segments and truncates the backing file.
   void clear();
 
   /// Staging buffer for the configuration about to be interned
@@ -147,18 +139,10 @@ class ConfigArena {
   /// explorer's sharded visited sets).
   ConfigId append_words(const Value* w);
 
-  /// Read access to one configuration's packed words. Resident segments
-  /// return a direct pointer; spilled segments decode into a thread-local
-  /// buffer valid until this thread's next words() call on a spilled id.
-  const Value* words(ConfigId id) const {
-    const Seg* s = dir_.load(std::memory_order_acquire)[id >> seg_shift_].load(
-        std::memory_order_acquire);
-    const Value* d = s->data.data();
-    if (d != nullptr) {
-      return d + (static_cast<std::size_t>(id) & seg_mask_) * words_;
-    }
-    return decode_spilled(*s, static_cast<std::size_t>(id) & seg_mask_);
-  }
+  /// Read access to one configuration's packed words: a direct pointer
+  /// into a resident segment, or the thread-local decode buffer of a
+  /// spilled one (valid until this thread's next read of a spilled id).
+  const Value* words(ConfigId id) const { return store_.read(id); }
   ConfigView view(ConfigId id) const {
     const Value* w = words(id);
     return ConfigView{id, w, w + n_, n_, m_};
@@ -172,17 +156,12 @@ class ConfigArena {
   // --- concurrent-append support (the work-stealing explorer) -----------
 
   /// Make segments for every id < up_to exist and be resident. Safe to
-  /// call concurrently with readers and with writers to other ids;
-  /// internally serialized against other ensure_capacity calls.
-  void ensure_capacity(std::size_t up_to);
+  /// call concurrently with readers and with writers to other ids.
+  void ensure_capacity(std::size_t up_to) { store_.ensure(up_to); }
 
   /// Writable pointer to a reserved (ensure_capacity'd) id's word slot.
   /// The caller owns the id exclusively until it is published.
-  Value* slot_ptr(ConfigId id) {
-    Seg* s = dir_.load(std::memory_order_acquire)[id >> seg_shift_].load(
-        std::memory_order_acquire);
-    return s->data.data() + (static_cast<std::size_t>(id) & seg_mask_) * words_;
-  }
+  Value* slot_ptr(ConfigId id) { return store_.write_ptr(id); }
 
   /// Publish the final count after a phase of concurrent slot_ptr writes.
   /// (The dedup table is NOT updated; concurrent appenders own dedup.)
@@ -197,42 +176,36 @@ class ConfigArena {
   /// while the arena is empty. Returns false if the directory is unusable
   /// (spilling stays disabled).
   bool set_spill(const std::string& dir, std::size_t threshold_bytes,
-                 std::size_t seg_configs_hint = 0);
+                 std::size_t seg_configs_hint = 0) {
+    spill_threshold_ = threshold_bytes;
+    return store_.set_spill(dir, seg_configs_hint);
+  }
 
-  bool spill_enabled() const { return spill_file_.valid(); }
-  std::size_t spill_threshold() const { return spill_threshold_; }
-
-  /// True when resident word bytes exceed the spill threshold and at least
-  /// one full cold segment could be released. `cur_size` is the caller's
-  /// view of how many configurations exist (the work-stealing explorer's
-  /// id counter runs ahead of size()). Cheap; any thread.
+  /// True when resident word bytes exceed the spill threshold and a full
+  /// cold segment may be releasable. `cur_size` is the caller's view of
+  /// how many configurations exist (the work-stealing explorer's id
+  /// counter runs ahead of size()). Cheap; any thread.
   bool spill_needed(std::size_t cur_size) const {
-    return spill_file_.valid() &&
-           resident_words_bytes_.load(std::memory_order_relaxed) >
-               spill_threshold_ &&
-           first_resident_seg_ < cur_size >> seg_shift_;
+    return store_.spill_needed(spill_threshold_, cur_size);
   }
 
   /// Spill cold full segments (lowest ids first) until resident word bytes
-  /// drop to the threshold or only pinned/partial segments remain. Ids >=
-  /// pin_floor are never spilled (callers pin the unexpanded frontier so
-  /// the hot read path stays pointer-direct). Caller guarantees no
-  /// concurrent arena access (quiescent point). Returns bytes released.
-  /// A write/mmap failure (ENOSPC, short write that retries don't clear)
-  /// throws util::BudgetExhausted after recording a flight event: the
-  /// operator's memory plan can no longer be kept, and pretending
-  /// otherwise by quietly staying resident would trade a clean exit 4 for
-  /// an OOM-kill hours later.
-  std::size_t maybe_spill(ConfigId pin_floor);
+  /// drop to the threshold. Ids >= pin_floor are never spilled (callers
+  /// pin the unexpanded frontier so the hot read path stays
+  /// pointer-direct). Quiescent points only; returns bytes released. A
+  /// write failure throws util::BudgetExhausted (see SpillStore).
+  std::size_t maybe_spill(ConfigId pin_floor) {
+    return store_.maybe_spill(spill_threshold_,
+                              std::min<std::size_t>(count_, pin_floor));
+  }
 
-  std::size_t spilled_bytes() const {
-    return spilled_bytes_.load(std::memory_order_relaxed);
-  }
-  std::size_t mapped_bytes() const {
-    return mapped_bytes_.load(std::memory_order_relaxed);
-  }
-  std::size_t spilled_segments() const { return spilled_segments_; }
-  std::size_t spill_failures() const { return spill_failures_; }
+  /// The word store: spill counters (spilled/mapped bytes, segments,
+  /// failures) and geometry.
+  const util::spill::SpillStore<Value>& store() const { return store_; }
+
+  /// Set the arena.spill / arena.mapped ledger accounts once spilling is
+  /// armed or has happened.
+  void report_spill() const;
 
   /// Capacity of the dedup table (power of two; 0 before first insertion).
   /// Every interned configuration owns exactly one slot, so occupancy is
@@ -245,13 +218,10 @@ class ConfigArena {
   /// neither counts against the RAM budget; they get their own ledger
   /// accounts (arena.spill / arena.mapped).
   std::size_t words_bytes() const {
-    return resident_words_bytes_.load(std::memory_order_relaxed) +
-           scratch_.capacity() * sizeof(Value);
+    return store_.resident_bytes() + scratch_.capacity() * sizeof(Value);
   }
   std::size_t table_bytes() const { return table_.size() * sizeof(Slot); }
   std::size_t memory_bytes() const { return words_bytes() + table_bytes(); }
-
-  std::size_t segment_configs() const { return seg_configs_; }
 
  private:
   /// Buckets are the hash's top log2(table size) bits — a prefix of the
@@ -269,63 +239,19 @@ class ConfigArena {
     bool empty() const { return nid == 0; }
   };
 
-  /// One fixed-size segment of seg_configs_ configurations. `data` is the
-  /// flat resident array (empty once spilled); `blk` describes the
-  /// compressed block in the backing file after a spill.
-  struct Seg {
-    util::HugeArray<Value> data;
-    util::spill::BackingFile::Block blk;
-  };
-
   void grow_table();
-  const Value* decode_spilled(const Seg& s, std::size_t local) const;
-  bool spill_segment(Seg& s);
-  void release_map(Seg& s);
-  void add_segment();
-  void alloc_seg_data(Seg& s);
-  std::size_t seg_bytes() const { return seg_configs_ * words_ * sizeof(Value); }
 
   int n_;
   int m_;
   std::size_t words_;
   std::size_t count_ = 0;
-  std::size_t seg_configs_ = 0;  ///< configs per segment (power of two)
-  std::size_t seg_mask_ = 0;     ///< seg_configs_ - 1
-  int seg_shift_ = 0;            ///< log2(seg_configs_)
-
-  std::vector<std::unique_ptr<Seg>> segs_;  ///< stable Seg addresses
-  /// segs_.size() mirrored for the lock-free ensure_capacity fast path.
-  std::atomic<std::size_t> seg_count_{0};
-  std::mutex grow_mu_;  ///< serializes segment growth (slow path only)
-
-  /// Lock-free segment directory: an array of atomic Seg pointers,
-  /// republished (capacity-doubled) when it fills. Old arrays are retired
-  /// (kept until destruction) so a reader holding a stale snapshot never
-  /// touches freed memory; doubling bounds the retired total at one extra
-  /// copy of the final directory. A reader can only hold a snapshot at
-  /// least as new as the publication of any id it was handed, because id
-  /// handoff (shard lock / deque steal) happens-after the entry store.
-  using DirEntry = std::atomic<Seg*>;
-  std::atomic<DirEntry*> dir_{nullptr};
-  std::vector<std::unique_ptr<DirEntry[]>> dir_store_;
-  std::size_t dir_cap_ = 0;
+  util::spill::SpillStore<Value> store_;  ///< words_ words per id
 
   std::vector<Value> scratch_;  ///< words_ staging words
   util::HugeArray<Slot> table_;  ///< open addressing, power-of-two size
   std::size_t mask_ = 0;        ///< table size - 1 (probe wrap)
   int shift_ = 0;               ///< 64 - log2(table size) (bucket index)
-
-  // Spill state. resident_words_bytes_ is atomic because the parallel
-  // explorer's budget checks read it from worker threads while another
-  // worker's flush is growing the arena.
-  util::spill::BackingFile spill_file_;
   std::size_t spill_threshold_ = 0;
-  std::size_t first_resident_seg_ = 0;
-  std::size_t spilled_segments_ = 0;
-  std::size_t spill_failures_ = 0;
-  std::atomic<std::size_t> resident_words_bytes_{0};
-  std::atomic<std::size_t> spilled_bytes_{0};
-  std::atomic<std::size_t> mapped_bytes_{0};
 };
 
 }  // namespace tsb::sim

@@ -267,7 +267,7 @@ class Explorer {
           if (released != 0) {
             obs::flight::record(
                 obs::flight::Ev::kSpill, static_cast<std::int64_t>(released),
-                static_cast<std::int64_t>(arena_.spilled_bytes()));
+                static_cast<std::int64_t>(arena_.store().spilled_bytes()));
           }
         }
         update_ledger();
@@ -350,10 +350,7 @@ class Explorer {
     ledger.set(obs::MemAccount::kArenaWords, arena_.words_bytes());
     ledger.set(obs::MemAccount::kArenaTable, arena_.table_bytes());
     ledger.set(obs::MemAccount::kExploreFrontier, frontier_bytes());
-    if (arena_.spill_enabled() || arena_.spilled_bytes() != 0) {
-      ledger.set(obs::MemAccount::kArenaSpill, arena_.spilled_bytes());
-      ledger.set(obs::MemAccount::kArenaMapped, arena_.mapped_bytes());
-    }
+    arena_.report_spill();
   }
 
   const Protocol& proto_;

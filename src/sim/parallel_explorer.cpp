@@ -65,31 +65,6 @@ StealMetrics& steal_metrics() {
 
 }  // namespace
 
-namespace detail {
-
-ParentStore::~ParentStore() {
-  for (std::size_t i = 0; i < dir_segs_; ++i) {
-    delete[] dir_[i].load(std::memory_order_relaxed);
-  }
-}
-
-void ParentStore::prepare(std::size_t cap) {
-  const std::size_t need = (cap + kSegSize - 1) >> kSegShift;
-  if (need <= dir_segs_) return;
-  auto bigger = std::make_unique<std::atomic<Rec*>[]>(need);
-  for (std::size_t i = 0; i < dir_segs_; ++i) {
-    bigger[i].store(dir_[i].load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  }
-  for (std::size_t i = dir_segs_; i < need; ++i) {
-    bigger[i].store(nullptr, std::memory_order_relaxed);
-  }
-  dir_ = std::move(bigger);
-  dir_segs_ = need;
-}
-
-}  // namespace detail
-
 // --- Deque --------------------------------------------------------------
 
 bool ParallelExplorer::Deque::pop(WorkItem& out) {
@@ -192,11 +167,11 @@ ParallelExplorer::ParallelExplorer(const Protocol& proto, Options opts)
       deques_(static_cast<std::size_t>(resolve_threads(opts.threads))),
       workers_(static_cast<std::size_t>(resolve_threads(opts.threads))),
       pool_(resolve_threads(opts.threads)) {
-  // At least 1: the root is always interned, and prepare(0) would leave the
-  // parent directory empty for the root's ensure()/set() to dereference.
+  // At least 1: the root is always interned.
   opts_.max_configs =
       std::clamp<std::size_t>(opts_.max_configs, 1, kNoConfig - 1);
   if (opts_.chunk_configs == 0) opts_.chunk_configs = 1;
+  parent_.init("explore.parents", 2, 0);
   const std::size_t W = arena_.words_per_config();
   for (WorkerCtx& w : workers_) {
     w.batches.resize(kShards);
@@ -219,7 +194,7 @@ std::size_t ParallelExplorer::frontier_bytes() const {
   // this callable from any worker without touching vector internals that
   // another thread might be growing.
   std::size_t bytes =
-      parent_.memory_bytes() +
+      parent_.resident_bytes() +
       workers_.size() *
           (kShards * kBatch * (W * sizeof(Value) + sizeof(Cand)) +
            W * sizeof(Value) +
@@ -242,10 +217,7 @@ void ParallelExplorer::update_ledger() const {
   obs::MemLedger& ledger = obs::MemLedger::global();
   ledger.set(obs::MemAccount::kArenaWords, arena_.words_bytes());
   ledger.set(obs::MemAccount::kArenaTable, arena_.table_bytes());
-  if (arena_.spill_enabled() || arena_.spilled_bytes() != 0) {
-    ledger.set(obs::MemAccount::kArenaSpill, arena_.spilled_bytes());
-    ledger.set(obs::MemAccount::kArenaMapped, arena_.mapped_bytes());
-  }
+  arena_.report_spill();
   ledger.set(obs::MemAccount::kExploreFrontier, frontier_bytes());
   ledger.set(obs::MemAccount::kExploreShards,
              shard_bytes_.load(std::memory_order_relaxed));
@@ -289,8 +261,7 @@ void ParallelExplorer::flush_shard(WorkerCtx& w, int s) {
         const ConfigId id = static_cast<ConfigId>(raw);
         arena_.ensure_capacity(raw + 1);
         std::memcpy(arena_.slot_ptr(id), cw, W * sizeof(Value));
-        parent_.ensure(id);
-        parent_.set(id, {c.parent, c.via});
+        set_parent(id, c.parent, c.via);
         slot.hash = c.hash;
         slot.ref = id;
         ++sh.used;
@@ -415,9 +386,9 @@ void ParallelExplorer::request_spill() {
   }
   if (released != 0) {
     ++run_stats_.spill_pauses;
-    obs::flight::record(obs::flight::Ev::kSpill,
-                        static_cast<std::int64_t>(released),
-                        static_cast<std::int64_t>(arena_.spilled_bytes()));
+    obs::flight::record(
+        obs::flight::Ev::kSpill, static_cast<std::int64_t>(released),
+        static_cast<std::int64_t>(arena_.store().spilled_bytes()));
     update_ledger();
   }
   spill_.requested.store(false, std::memory_order_relaxed);
@@ -586,8 +557,8 @@ void ParallelExplorer::worker_main(int t, ProcSet p, VisitFn fn, void* vctx,
                        pending_.load(std::memory_order_relaxed))
                   .num("steals", static_cast<std::int64_t>(steals))
                   .num("idle_spins", static_cast<std::int64_t>(idle))
-                  .num("spilled_bytes",
-                       static_cast<std::int64_t>(arena_.spilled_bytes()))
+                  .num("spilled_bytes", static_cast<std::int64_t>(
+                                            arena_.store().spilled_bytes()))
                   .num("resident_bytes",
                        static_cast<std::int64_t>(arena_.words_bytes()))
                   .render());
@@ -625,7 +596,6 @@ ParallelExplorer::Result ParallelExplorer::explore_impl(const Config& root,
                                                         ProcSet p, VisitFn fn,
                                                         void* vctx) {
   arena_.clear();
-  parent_.prepare(opts_.max_configs);
   for (Shard& sh : shards_) sh.reset(shard_bytes_);
   {
     std::size_t sb = 0;
@@ -667,8 +637,7 @@ ParallelExplorer::Result ParallelExplorer::explore_impl(const Config& root,
   arena_.pack(root, arena_.scratch());
   const std::uint64_t root_hash = arena_.hash_words(arena_.scratch());
   const ConfigId root_id = arena_.append_words(arena_.scratch());
-  parent_.ensure(root_id);
-  parent_.set(root_id, {kNoConfig, -1});
+  set_parent(root_id, kNoConfig, -1);
   {
     Shard& sh = shard_of(root_hash);
     sh.reserve_for(1, shard_bytes_);
@@ -761,7 +730,7 @@ ParallelExplorer::Result ParallelExplorer::explore_impl(const Config& root,
         if (released != 0) {
           obs::flight::record(
               obs::flight::Ev::kSpill, static_cast<std::int64_t>(released),
-              static_cast<std::int64_t>(arena_.spilled_bytes()));
+              static_cast<std::int64_t>(arena_.store().spilled_bytes()));
         }
       }
       update_ledger();
@@ -804,8 +773,7 @@ ParallelExplorer::Result ParallelExplorer::explore_impl(const Config& root,
             return;
           }
           const ConfigId id = arena_.append_words(succ_buf.data());
-          parent_.ensure(id);
-          parent_.set(id, {cur, q});
+          set_parent(id, cur, q);
           slot.hash = h;
           slot.ref = id;
           ++sh.used;
@@ -916,9 +884,9 @@ ParallelExplorer::Result ParallelExplorer::explore_impl(const Config& root,
               .num("spill_pauses",
                    static_cast<std::int64_t>(run_stats_.spill_pauses))
               .num("spilled_bytes",
-                   static_cast<std::int64_t>(arena_.spilled_bytes()))
+                   static_cast<std::int64_t>(arena_.store().spilled_bytes()))
               .num("mapped_bytes",
-                   static_cast<std::int64_t>(arena_.mapped_bytes()))
+                   static_cast<std::int64_t>(arena_.store().mapped_bytes()))
               .render());
     }
     stats.done(arena_, res, dedup_total);
@@ -949,9 +917,9 @@ std::optional<Schedule> ParallelExplorer::witness_by_id(ConfigId id) const {
   std::vector<ProcId> rev;
   ConfigId idx = id;
   while (idx != kNoConfig) {
-    const auto [par, via] = parent_.get(idx);
-    if (par != kNoConfig) rev.push_back(via);
-    idx = par;
+    const std::uint32_t* rec = parent_.read(idx);
+    if (rec[0] != kNoConfig) rev.push_back(static_cast<ProcId>(rec[1]));
+    idx = rec[0];
   }
   std::reverse(rev.begin(), rev.end());
   return Schedule(std::move(rev));

@@ -11,73 +11,10 @@
 #include <vector>
 
 #include "sim/explorer.hpp"
+#include "util/spill_store.hpp"
 #include "util/worker_pool.hpp"
 
 namespace tsb::sim {
-
-namespace detail {
-
-/// Concurrent (parent id, stepping process) edge store for the
-/// work-stealing explorer: fixed 64Ki-record segments behind an atomic
-/// pointer directory, so workers committing disjoint ids write without
-/// coordination and nothing ever reallocates under a reader. Segment
-/// publication is a CAS (the losing allocator frees); record writes are
-/// plain stores to exclusively-owned indices, read only after the pool
-/// joins (witness reconstruction) or for already-published ancestors.
-class ParentStore {
- public:
-  static constexpr std::size_t kSegShift = 16;
-  static constexpr std::size_t kSegSize = std::size_t{1} << kSegShift;
-
-  struct Rec {
-    ConfigId parent;
-    std::int32_t via;
-  };
-
-  ParentStore() = default;
-  ~ParentStore();
-  ParentStore(const ParentStore&) = delete;
-  ParentStore& operator=(const ParentStore&) = delete;
-
-  /// Size the directory for ids < cap. Single-threaded (between runs);
-  /// existing segments are kept for reuse.
-  void prepare(std::size_t cap);
-
-  /// Make id's segment exist. Thread-safe, lock-free.
-  void ensure(ConfigId id) {
-    const std::size_t seg = id >> kSegShift;
-    Rec* p = dir_[seg].load(std::memory_order_acquire);
-    if (p != nullptr) return;
-    Rec* fresh = new Rec[kSegSize];
-    if (dir_[seg].compare_exchange_strong(p, fresh, std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-      bytes_.fetch_add(kSegSize * sizeof(Rec), std::memory_order_relaxed);
-    } else {
-      delete[] fresh;
-    }
-  }
-
-  void set(ConfigId id, Rec r) {
-    dir_[id >> kSegShift].load(std::memory_order_acquire)[id &
-                                                          (kSegSize - 1)] = r;
-  }
-  Rec get(ConfigId id) const {
-    return dir_[id >> kSegShift].load(
-        std::memory_order_acquire)[id & (kSegSize - 1)];
-  }
-
-  std::size_t memory_bytes() const {
-    return bytes_.load(std::memory_order_relaxed) +
-           dir_segs_ * sizeof(std::atomic<Rec*>);
-  }
-
- private:
-  std::unique_ptr<std::atomic<Rec*>[]> dir_;
-  std::size_t dir_segs_ = 0;
-  std::atomic<std::size_t> bytes_{0};
-};
-
-}  // namespace detail
 
 /// Parallel breadth-first-style enumeration by work stealing.
 ///
@@ -329,6 +266,12 @@ class ParallelExplorer {
   /// ledger's explore.frontier account.
   std::size_t frontier_bytes() const;
   std::size_t committed() const;
+  void set_parent(ConfigId id, ConfigId parent, std::int32_t via) {
+    parent_.ensure(std::size_t{id} + 1);
+    std::uint32_t* rec = parent_.write_ptr(id);
+    rec[0] = parent;
+    rec[1] = static_cast<std::uint32_t>(via);
+  }
 
   Shard& shard_of(std::uint64_t h) {
     return shards_[(h >> 58) & (kShards - 1)];
@@ -341,7 +284,10 @@ class ParallelExplorer {
       std::chrono::steady_clock::time_point::max();
 
   ConfigArena arena_;
-  detail::ParentStore parent_;
+  /// Per id: (parent id, stepping process as u32). Workers committing
+  /// disjoint ids write without coordination (the store's contract); read
+  /// after the pool joins (witnesses) or for already-published ancestors.
+  util::spill::SpillStore<std::uint32_t> parent_;
   std::vector<Shard> shards_;
   std::vector<Deque> deques_;
   std::vector<WorkerCtx> workers_;

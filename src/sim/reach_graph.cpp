@@ -13,6 +13,22 @@
 
 namespace tsb::sim {
 
+namespace {
+
+/// A stored edge renaming permutes processes [0, n) and fixes the slots
+/// above n, as every canonicalize_states() composition does.
+bool is_renaming(ProcPerm pi, int n) {
+  unsigned seen = 0;
+  for (int p = 0; p < ProcPerm::kMaxProcs; ++p) {
+    const int img = pi(p);
+    if (p < n ? img >= n : img != p) return false;
+    seen |= 1u << img;
+  }
+  return seen == 0xFFu;
+}
+
+}  // namespace
+
 // -------------------------------------------------------------- ReachGraph
 
 ReachGraph::ReachGraph(const Protocol& proto, Options opts)
@@ -60,13 +76,7 @@ void ReachGraph::update_ledger() const {
   ledger.set(obs::MemAccount::kReachNodes, arena_.memory_bytes());
   ledger.set(obs::MemAccount::kReachEdges, edge_resident_bytes());
   ledger.set(obs::MemAccount::kReachQuery, query_bytes());
-  if (arena_.spill_enabled() || arena_.spilled_bytes() != 0) {
-    // Disk-resident and mmap-resident bytes are tracked separately: the
-    // spill file is not RAM (excluded from memory_bytes/budget), while
-    // mapped read-back pages are reclaimable page cache.
-    ledger.set(obs::MemAccount::kArenaSpill, arena_.spilled_bytes());
-    ledger.set(obs::MemAccount::kArenaMapped, arena_.mapped_bytes());
-  }
+  arena_.report_spill();
   if (edge_spill_on_ || edge_spilled_bytes() != 0) {
     ledger.set(obs::MemAccount::kGraphSpill, edge_spilled_bytes());
     ledger.set(obs::MemAccount::kGraphMapped, edge_mapped_bytes());
@@ -172,18 +182,38 @@ void ReachGraph::restore(util::ckpt::SectionReader& r) {
   if (count != 0) {
     const std::uint8_t* fb = r.get_bytes(count);
     for (std::uint64_t i = 0; i < count; ++i) *flags_.write_ptr(i) = fb[i];
+    // The CRC only proves the bytes are the ones written, not that a
+    // writer was honest: every successor id and renaming is checked before
+    // a walk can index past the stores or shift by a wild process number.
     const std::uint8_t* sb = r.get_bytes(edge_count * sizeof(ConfigId));
     for (std::uint64_t i = 0; i < count; ++i) {
-      std::memcpy(succ_.write_ptr(i),
-                  sb + i * static_cast<std::size_t>(n_) * sizeof(ConfigId),
+      ConfigId* row = succ_.write_ptr(i);
+      std::memcpy(row, sb + i * static_cast<std::size_t>(n_) * sizeof(ConfigId),
                   static_cast<std::size_t>(n_) * sizeof(ConfigId));
+      for (int q = 0; q < n_; ++q) {
+        if (row[q] < count || row[q] == kUnexpanded || row[q] == kNoConfig) {
+          continue;
+        }
+        throw util::CheckpointInvalid(
+            "checkpoint graph section: node " + std::to_string(i) +
+            " has successor id " + std::to_string(row[q]) + " beyond its " +
+            std::to_string(count) + " nodes");
+      }
     }
     if (sym_) {
       const std::uint8_t* pb = r.get_bytes(edge_count * sizeof(std::uint64_t));
       for (std::uint64_t i = 0; i < count; ++i) {
-        std::memcpy(perm_.write_ptr(i),
+        std::uint64_t* row = perm_.write_ptr(i);
+        std::memcpy(row,
                     pb + i * static_cast<std::size_t>(n_) * sizeof(std::uint64_t),
                     static_cast<std::size_t>(n_) * sizeof(std::uint64_t));
+        for (int q = 0; q < n_; ++q) {
+          if (is_renaming(ProcPerm(row[q]), n_)) continue;
+          throw util::CheckpointInvalid(
+              "checkpoint graph section: node " + std::to_string(i) +
+              " has an edge renaming that does not permute its " +
+              std::to_string(n_) + " processes");
+        }
       }
     }
   }
@@ -284,8 +314,7 @@ void ReachGraph::maybe_spill_edges() {
     if (over == 0) return;
     const std::size_t cur = store.resident_bytes();
     const std::size_t want = cur > over ? cur - over : 0;
-    const std::size_t rel =
-        store.maybe_spill(want, std::numeric_limits<std::size_t>::max());
+    const std::size_t rel = store.maybe_spill(want, arena_.size());
     released += rel;
     over -= rel < over ? rel : over;
   };
@@ -367,7 +396,8 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
         if (released != 0) {
           obs::flight::record(obs::flight::Ev::kSpill,
                               static_cast<std::int64_t>(released),
-                              static_cast<std::int64_t>(arena_.spilled_bytes()));
+                              static_cast<std::int64_t>(
+                                  arena_.store().spilled_bytes()));
         }
       }
       maybe_spill_edges();

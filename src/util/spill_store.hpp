@@ -1,10 +1,13 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -67,8 +70,8 @@ inline std::size_t round_up(std::size_t v, std::size_t align) {
   return (v + align - 1) & ~(align - 1);
 }
 
-/// Delta/varint/zigzag block codec shared by ConfigArena (Value words) and
-/// the reach graph's edge stores (u8 / u32 / u64 words). A block holds
+/// Delta/varint/zigzag block codec behind every SpillStore (Value words for
+/// ConfigArena, u8 / u32 / u64 words for the edge stores). A block holds
 /// `nrecs` fixed-stride records in groups of kGroupRecords: per group the
 /// first record is raw, the rest are (changed-word count, then per change a
 /// varint word index and a zigzag-varint value delta) against their
@@ -169,7 +172,7 @@ void decode_all(const std::uint8_t* block, std::size_t nrecs,
   }
 }
 
-/// The unlinked backing file behind every spill consumer. The file is
+/// The unlinked backing file behind a spilling SpillStore. The file is
 /// unlinked the moment it exists: the fd keeps the space alive, the name
 /// never leaks past a crash, and the memory ledger (not the filesystem) is
 /// the interface for "how much is spilled". Blocks append at page-aligned
@@ -182,10 +185,8 @@ class BackingFile {
   struct Block {
     std::uint8_t* map = nullptr;  ///< mmap'd compressed block (read-only)
     std::size_t map_len = 0;      ///< mapped length (page-aligned)
-    std::size_t skip = 0;         ///< offset of the block within the map
     std::size_t bytes = 0;        ///< compressed payload bytes
     std::uint64_t file_off = 0;   ///< block start within the backing file
-    bool valid() const { return map != nullptr; }
   };
 
   BackingFile() = default;
@@ -197,11 +198,10 @@ class BackingFile {
   /// (and leaves the object invalid) if the directory is unusable.
   bool open(const std::string& dir);
   bool valid() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
 
   /// Append `len` bytes at the next page-aligned offset and map them
   /// read-only. Returns false with errno set on write/mmap failure; the
-  /// caller owns the consequence (the spill consumers treat it as a budget
+  /// caller owns the consequence (SpillStore treats it as a budget
   /// failure, not a shrug).
   bool append(const std::uint8_t* data, std::size_t len, Block& out);
 
@@ -220,126 +220,142 @@ class BackingFile {
   std::uint64_t end_ = 0;
 };
 
-/// A segmented, spillable array of fixed-stride records: the reach graph's
-/// per-node edge data (successor ids, per-edge renamings, decide flags)
-/// each live in one of these. Records are `stride` words of W, stored in
-/// power-of-two segments allocated flat on huge_alloc storage (see
-/// util/huge_pages.hpp); cold full segments compress into
-/// the BackingFile at quiescent points and decode on demand.
+/// The one segmented array of the engines: fixed-stride records of
+/// `stride` words of W, in power-of-two segments of ~4 MB allocated flat on
+/// huge_alloc storage (util/huge_pages.hpp). ConfigArena keeps its packed
+/// configuration words in one (stride = words per configuration), the reach
+/// graph its per-node edge data (successor ids, renamings, decide flags),
+/// and the parallel explorer its (parent id, via) records.
 ///
-/// Unlike ConfigArena's immutable configuration words, edge records MUTATE
-/// after they are first written (a later query with a different ProcSet
-/// expands a previously unexpanded edge at an old node), so write_ptr() on
-/// a spilled record faults the whole segment back to resident — decoding
-/// it, releasing the stale disk block (hole-punched), and letting the next
-/// quiescent spill re-encode it. read() on a spilled record decodes into a
-/// thread-local buffer and never faults anything in.
+/// Concurrency contract, the same for every instance:
+///  * ensure(), read() and write_ptr() on a resident record may run
+///    concurrently: the store grows while other threads read published
+///    records and write distinct ones. ensure() is one acquire load while
+///    capacity suffices; growth takes a mutex, publishes fully initialized
+///    segments, and doubles the directory when it fills. Old directories
+///    are retired, not freed, until destruction, so a reader holding a
+///    stale snapshot never touches freed memory (doubling bounds the
+///    retired total at one extra copy of the final directory). A reader
+///    can only reach a record it was handed after the record's segment was
+///    published, because the id handoff happens-after the publication.
+///  * maybe_spill(), clear() and write_ptr() on a spilled record (fault-in)
+///    run at quiescent points only: no other thread touches the store.
 ///
-/// Thread safety: none — callers are externally synchronized (the reach
-/// graph is single-threaded and touches its edge stores only from the
-/// query thread).
+/// A directory entry holds the resident data pointer itself (null once the
+/// segment is spilled), so a resident read is two dependent loads.
+///
+/// Out of core (set_spill): maybe_spill() delta/varint-compresses cold FULL
+/// segments, lowest record ids first, appends each block to the unlinked
+/// BackingFile, maps it read-only and frees the resident array. read() of a
+/// spilled record decodes it into a thread-local buffer, valid until this
+/// thread's next read() of a spilled record in any SpillStore<W>; it never
+/// faults anything in. write_ptr() of a spilled record faults the whole
+/// segment back to resident (decoding it and hole-punching its stale block)
+/// for the next quiescent spill to re-encode: reach-graph edge records
+/// change after they are first written.
 template <class W>
 class SpillStore {
  public:
-  /// `name` labels ledger attributions and failure messages; `fill` is the
-  /// value new records are initialized to (kUnexpanded for successor ids).
+  SpillStore() = default;
+  ~SpillStore() {
+    for (auto& s : segs_) file_.release(s->blk);
+  }
+  SpillStore(const SpillStore&) = delete;
+  SpillStore& operator=(const SpillStore&) = delete;
+
+  /// `name` labels failure messages; `fill` is the value records of a new
+  /// segment read as (kUnexpanded for successor ids).
   void init(std::string name, std::size_t stride, W fill) {
-    TSB_REQUIRE(segs_.empty(), "SpillStore::init on a non-empty store");
-    TSB_REQUIRE(stride >= 1 && stride <= 255,
-                "spill delta encoding stores word counts in one byte");
+    TSB_REQUIRE(segs_.empty() && stride >= 1,
+                "SpillStore::init needs an empty store and a stride >= 1");
     name_ = std::move(name);
     stride_ = stride;
     fill_ = fill;
-    // Segments target ~4 MB each, like the arena: big enough to amortize
-    // the spill syscalls, small enough to be a meaningful spill quantum.
-    seg_recs_ = kGroupRecords;
-    while (seg_recs_ * stride_ * sizeof(W) < (4u << 20) &&
-           seg_recs_ < (1u << 22)) {
-      seg_recs_ <<= 1;
+    // ~4 MB segments: big enough to amortize the spill syscalls, small
+    // enough to be a meaningful spill quantum for CI-sized budgets.
+    std::size_t recs = kGroupRecords;
+    while (recs * stride_ * sizeof(W) < (4u << 20) && recs < (1u << 22)) {
+      recs <<= 1;
     }
-    recompute_geometry();
+    set_geometry(recs);
   }
 
   /// Enable spilling to an unlinked backing file under `dir`.
   /// `seg_recs_hint` (0 = keep the ~4 MB default) shrinks segments so tiny
-  /// test runs still cross segment boundaries. Must be called while the
-  /// store is empty. Returns false if the directory is unusable.
+  /// test runs still cross segment boundaries. Must be called before the
+  /// first ensure(). Returns false if the directory is unusable.
   bool set_spill(const std::string& dir, std::size_t seg_recs_hint) {
-    TSB_REQUIRE(size_ == 0, "SpillStore::set_spill on a non-empty store");
+    TSB_REQUIRE(segs_.empty(), "SpillStore::set_spill on a non-empty store");
+    TSB_REQUIRE(stride_ <= 255,
+                "spill delta encoding stores word counts in one byte");
     if (seg_recs_hint != 0) {
-      std::size_t sr = kGroupRecords;
-      while (sr < seg_recs_hint) sr <<= 1;
-      seg_recs_ = sr;
-      recompute_geometry();
+      std::size_t recs = kGroupRecords;
+      while (recs < seg_recs_hint) recs <<= 1;
+      set_geometry(recs);
     }
     return file_.open(dir);
   }
 
   bool spill_enabled() const { return file_.valid(); }
-  std::size_t size() const { return size_; }
-  std::size_t stride() const { return stride_; }
   std::size_t segment_records() const { return seg_recs_; }
-  const std::string& name() const { return name_; }
 
-  /// Grow to at least `nrecs` records; new records read as `fill`.
+  /// Make records [0, nrecs) exist; records of a new segment read as
+  /// `fill`. Lock-free while capacity suffices.
   void ensure(std::size_t nrecs) {
-    if (nrecs <= cap_) {
-      if (nrecs > size_) size_ = nrecs;
-      return;
-    }
-    while (cap_ < nrecs) {
-      segs_.emplace_back();
-      alloc_seg(segs_.back());
-      cap_ += seg_recs_;
-    }
-    size_ = nrecs;
+    if (cap_.load(std::memory_order_acquire) < nrecs) grow(nrecs);
   }
 
-  /// Read access to one record. Resident segments return a direct pointer;
-  /// spilled segments decode into a thread-local buffer valid until this
-  /// thread's next read() of a spilled record in any SpillStore<W>.
+  /// Read access to one record: a direct pointer when resident, else the
+  /// thread-local decode buffer.
   const W* read(std::size_t idx) const {
-    const Seg& s = segs_[idx >> shift_];
-    if (s.data) return s.data.data() + (idx & mask_) * stride_;
-    return decode_tls(s, idx & mask_);
+    const Slot& s = dir_.load(std::memory_order_acquire)[idx >> shift_];
+    const W* d = s.data.load(std::memory_order_acquire);
+    if (d != nullptr) [[likely]] return d + (idx & mask_) * stride_;
+    return decode_tls(*s.seg, idx & mask_);
   }
 
-  /// Writable pointer to a record. Faults the segment back to resident if
-  /// it was spilled (the record is about to change, so the on-disk copy is
-  /// stale either way).
+  /// Writable pointer to a record; faults its segment in if it was spilled
+  /// (the record is about to change, so the on-disk copy is stale).
   W* write_ptr(std::size_t idx) {
-    Seg& s = segs_[idx >> shift_];
-    if (!s.data) fault_in(s);
-    return s.data.data() + (idx & mask_) * stride_;
+    W* d = dir_.load(std::memory_order_acquire)[idx >> shift_].data.load(
+        std::memory_order_acquire);
+    if (d == nullptr) d = fault_in(idx >> shift_);
+    return d + (idx & mask_) * stride_;
   }
 
-  /// True when resident bytes exceed `resident_target` and a cold full
-  /// segment exists to release. Cheap.
-  bool spill_needed(std::size_t resident_target) const {
-    if (!file_.valid() || resident_bytes_ <= resident_target) return false;
-    const std::size_t full = size_ >> shift_;
-    for (std::size_t i = 0; i < full; ++i) {
-      if (segs_[i].data) return true;
-    }
-    return false;
+  /// True when resident bytes exceed `resident_target` and a full segment
+  /// below record `cur_size` may still be resident. O(1); any thread.
+  bool spill_needed(std::size_t resident_target, std::size_t cur_size) const {
+    return file_.valid() && resident_bytes() > resident_target &&
+           first_resident_.load(std::memory_order_relaxed) <
+               cur_size >> shift_;
   }
 
-  /// Spill cold full segments (lowest record ids first) until resident
-  /// bytes drop to `resident_target` or only pinned/partial/spilled
-  /// segments remain. Records >= pin_floor never spill (callers pin the
-  /// hot frontier). Caller guarantees quiescence. Returns bytes released.
-  /// A write/mmap failure throws util::BudgetExhausted after recording a
-  /// flight event — the operator's memory plan can no longer be kept, and
-  /// pretending otherwise would trade a clean exit 4 for an OOM-kill later.
-  std::size_t maybe_spill(std::size_t resident_target, std::size_t pin_floor);
+  /// Spill resident full segments lying wholly below record `spill_below`,
+  /// lowest first, until resident bytes drop to `resident_target`. Callers
+  /// pass their record count (the partial tail is still being written) or
+  /// a lower pin floor (the hot frontier stays pointer-direct). Quiescent
+  /// points only. Returns bytes released. A write/mmap failure throws
+  /// util::BudgetExhausted after recording a flight event: the operator's
+  /// memory plan can no longer be kept, and quietly staying resident would
+  /// trade a clean exit 4 for an OOM-kill later.
+  std::size_t maybe_spill(std::size_t resident_target, std::size_t spill_below);
+
+  /// Drop every record but keep the segments for reuse: spilled segments
+  /// are re-armed resident (reading as `fill`), the backing file is
+  /// truncated, and resident records keep stale words until rewritten.
+  /// Quiescent points only.
+  void clear();
 
   std::size_t resident_bytes() const {
-    // The TLS decode buffer is shared across stores and bounded by one
-    // record; charge the segment arrays only.
-    return resident_bytes_;
+    return resident_bytes_.load(std::memory_order_relaxed);
   }
-  std::size_t spilled_bytes() const { return spilled_bytes_; }
-  std::size_t mapped_bytes() const { return mapped_bytes_; }
+  std::size_t spilled_bytes() const {
+    return spilled_bytes_.load(std::memory_order_relaxed);
+  }
+  std::size_t mapped_bytes() const {
+    return mapped_bytes_.load(std::memory_order_relaxed);
+  }
   std::size_t spilled_segments() const { return spilled_segments_; }
   std::size_t faulted_in() const { return faulted_in_; }
   std::size_t spill_failures() const { return spill_failures_; }
@@ -347,38 +363,41 @@ class SpillStore {
  private:
   struct Seg {
     HugeArray<W> data;       ///< flat resident array (empty once spilled)
-    BackingFile::Block blk;     ///< compressed block once spilled
+    BackingFile::Block blk;  ///< compressed block once spilled
+  };
+  /// Directory entry: the resident data pointer (null once spilled) and
+  /// the segment it belongs to (for decoding a spilled record).
+  struct Slot {
+    std::atomic<W*> data{nullptr};
+    Seg* seg = nullptr;
   };
 
-  void recompute_geometry() {
-    mask_ = seg_recs_ - 1;
+  void set_geometry(std::size_t recs) {
+    seg_recs_ = recs;
+    mask_ = recs - 1;
     shift_ = 0;
-    for (std::size_t s = seg_recs_; s > 1; s >>= 1) ++shift_;
+    for (std::size_t s = recs; s > 1; s >>= 1) ++shift_;
+  }
+  std::size_t seg_bytes() const { return seg_recs_ * stride_ * sizeof(W); }
+
+  /// Allocate a segment's resident array at `fill` and publish it in the
+  /// directory entry `i`.
+  void arm(std::size_t i) {
+    Seg& s = *segs_[i];
+    s.data = HugeArray<W>(seg_recs_ * stride_);  // zero-filled already
+    if (fill_ != W{}) std::fill(s.data.begin(), s.data.end(), fill_);
+    resident_bytes_.fetch_add(seg_bytes(), std::memory_order_relaxed);
+    dir_.load(std::memory_order_relaxed)[i].data.store(
+        s.data.data(), std::memory_order_release);
   }
 
-  void alloc_seg(Seg& s) {
-    const std::size_t n = seg_recs_ * stride_;
-    s.data = HugeArray<W>(n);  // zero-filled: a zero fill costs nothing
-    if (fill_ != W{}) std::fill_n(s.data.data(), n, fill_);
-    resident_bytes_ += n * sizeof(W);
-  }
-
-  void fault_in(Seg& s) {
-    const std::size_t n = seg_recs_ * stride_;
-    HugeArray<W> fresh(n);
-    decode_all<W>(s.blk.map + s.blk.skip, seg_recs_, stride_, fresh.data());
-    spilled_bytes_ -= s.blk.bytes;
-    mapped_bytes_ -= s.blk.map_len;
-    file_.release(s.blk);
-    s.data = std::move(fresh);
-    resident_bytes_ += n * sizeof(W);
-    ++faulted_in_;
-  }
+  void grow(std::size_t nrecs);
+  W* fault_in(std::size_t i);
 
   const W* decode_tls(const Seg& s, std::size_t local) const {
     static thread_local std::vector<W> buf;
     if (buf.size() < stride_) buf.resize(stride_);
-    decode_record<W>(s.blk.map + s.blk.skip, local, stride_, buf.data());
+    decode_record<W>(s.blk.map, local, stride_, buf.data());
     return buf.data();
   }
 
@@ -388,13 +407,20 @@ class SpillStore {
   std::size_t seg_recs_ = 0;
   std::size_t mask_ = 0;
   int shift_ = 0;
-  std::size_t size_ = 0;
-  std::size_t cap_ = 0;
-  std::vector<Seg> segs_;
+
+  std::atomic<Slot*> dir_{nullptr};
+  std::atomic<std::size_t> cap_{0};  ///< records in published segments
+  std::mutex grow_mu_;               ///< serializes growth (slow path)
+  std::vector<std::unique_ptr<Slot[]>> dirs_;  ///< current + retired
+  std::size_t dir_cap_ = 0;
+  std::vector<std::unique_ptr<Seg>> segs_;     ///< stable Seg addresses
+
   BackingFile file_;
-  std::size_t resident_bytes_ = 0;
-  std::size_t spilled_bytes_ = 0;
-  std::size_t mapped_bytes_ = 0;
+  /// Every segment below this index is spilled; lowered by fault_in.
+  std::atomic<std::size_t> first_resident_{0};
+  std::atomic<std::size_t> resident_bytes_{0};
+  std::atomic<std::size_t> spilled_bytes_{0};
+  std::atomic<std::size_t> mapped_bytes_{0};
   std::size_t spilled_segments_ = 0;
   std::size_t faulted_in_ = 0;
   std::size_t spill_failures_ = 0;
@@ -406,38 +432,92 @@ class SpillStore {
                                       std::size_t resident_target);
 
 template <class W>
+void SpillStore<W>::grow(std::size_t nrecs) {
+  std::lock_guard<std::mutex> lk(grow_mu_);
+  while (segs_.size() * seg_recs_ < nrecs) {
+    const std::size_t i = segs_.size();
+    if (i == dir_cap_) {
+      dir_cap_ = dir_cap_ == 0 ? 64 : dir_cap_ * 2;
+      auto fresh = std::make_unique<Slot[]>(dir_cap_);
+      const Slot* old = dir_.load(std::memory_order_relaxed);
+      for (std::size_t j = 0; j < i; ++j) {
+        fresh[j].data.store(old[j].data.load(std::memory_order_relaxed),
+                            std::memory_order_relaxed);
+        fresh[j].seg = old[j].seg;
+      }
+      dir_.store(fresh.get(), std::memory_order_release);
+      dirs_.push_back(std::move(fresh));
+    }
+    segs_.push_back(std::make_unique<Seg>());
+    dir_.load(std::memory_order_relaxed)[i].seg = segs_.back().get();
+    arm(i);
+  }
+  cap_.store(segs_.size() * seg_recs_, std::memory_order_release);
+}
+
+template <class W>
+W* SpillStore<W>::fault_in(std::size_t i) {
+  Seg& s = *segs_[i];
+  HugeArray<W> fresh(seg_recs_ * stride_);
+  decode_all<W>(s.blk.map, seg_recs_, stride_, fresh.data());
+  spilled_bytes_.fetch_sub(s.blk.bytes, std::memory_order_relaxed);
+  mapped_bytes_.fetch_sub(s.blk.map_len, std::memory_order_relaxed);
+  file_.release(s.blk);
+  s.data = std::move(fresh);
+  resident_bytes_.fetch_add(seg_bytes(), std::memory_order_relaxed);
+  ++faulted_in_;
+  if (i < first_resident_.load(std::memory_order_relaxed)) {
+    first_resident_.store(i, std::memory_order_relaxed);
+  }
+  dir_.load(std::memory_order_relaxed)[i].data.store(
+      s.data.data(), std::memory_order_release);
+  return s.data.data();
+}
+
+template <class W>
 std::size_t SpillStore<W>::maybe_spill(std::size_t resident_target,
-                                       std::size_t pin_floor) {
+                                       std::size_t spill_below) {
   if (!file_.valid()) return 0;
-  const std::size_t seg_bytes = seg_recs_ * stride_ * sizeof(W);
-  // Only FULL segments spill (the partial tail is still being appended
-  // to), and never one at or above the pin floor.
-  const std::size_t full = size_ >> shift_;
-  const std::size_t pinned = pin_floor >> shift_;
-  const std::size_t limit = full < pinned ? full : pinned;
+  const std::size_t limit = std::min(spill_below >> shift_, segs_.size());
+  Slot* dir = dir_.load(std::memory_order_relaxed);
   std::size_t released = 0;
   std::vector<std::uint8_t> block;
-  for (std::size_t i = 0; i < limit; ++i) {
-    if (resident_bytes_ <= resident_target) break;
-    Seg& s = segs_[i];
+  std::size_t i = first_resident_.load(std::memory_order_relaxed);
+  for (; i < limit && resident_bytes() > resident_target; ++i) {
+    Seg& s = *segs_[i];
     if (!s.data) continue;
     encode_block<W>(s.data.data(), seg_recs_, stride_, block);
-    BackingFile::Block blk;
-    if (!file_.append(block.data(), block.size(), blk)) {
+    if (!file_.append(block.data(), block.size(), s.blk)) {
       ++spill_failures_;
       const int err = errno;
       file_.close();
-      throw_spill_failure(name_, err, resident_bytes_, resident_target);
+      throw_spill_failure(name_, err, resident_bytes(), resident_target);
     }
-    s.blk = blk;
+    dir[i].data.store(nullptr, std::memory_order_relaxed);
     s.data.reset();
-    resident_bytes_ -= seg_bytes;
-    spilled_bytes_ += blk.bytes;
-    mapped_bytes_ += blk.map_len;
+    resident_bytes_.fetch_sub(seg_bytes(), std::memory_order_relaxed);
+    spilled_bytes_.fetch_add(s.blk.bytes, std::memory_order_relaxed);
+    mapped_bytes_.fetch_add(s.blk.map_len, std::memory_order_relaxed);
     ++spilled_segments_;
-    released += seg_bytes;
+    released += seg_bytes();
   }
+  first_resident_.store(i, std::memory_order_relaxed);
   return released;
+}
+
+template <class W>
+void SpillStore<W>::clear() {
+  for (std::size_t i = 0; i < segs_.size(); ++i) {
+    Seg& s = *segs_[i];
+    if (s.data) continue;
+    mapped_bytes_.fetch_sub(s.blk.map_len, std::memory_order_relaxed);
+    file_.release(s.blk);
+    arm(i);
+  }
+  if (file_.end_offset() != 0) file_.truncate();
+  first_resident_.store(0, std::memory_order_relaxed);
+  spilled_bytes_.store(0, std::memory_order_relaxed);
+  spilled_segments_ = 0;
 }
 
 }  // namespace tsb::util::spill

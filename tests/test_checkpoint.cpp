@@ -27,8 +27,10 @@
 #include "bound/adversary.hpp"
 #include "bound/valency.hpp"
 #include "consensus/ballot.hpp"
+#include "consensus/racing.hpp"
 #include "sim/config_arena.hpp"
 #include "sim/engine.hpp"
+#include "sim/reach_graph.hpp"
 #include "util/checkpoint.hpp"
 #include "util/iofault.hpp"
 #include "util/require.hpp"
@@ -757,6 +759,68 @@ TEST(OracleState, HostileMemoWitnessLengthIsRefused) {
     EXPECT_NE(std::string(e.what()).find("witness length"), std::string::npos)
         << e.what();
   }
+}
+
+/// A CRC-valid one-node "graph" section for `proto`: zero node words, no
+/// decide flags, the given successor row and (symmetric engines only)
+/// renaming row.
+std::string write_one_node_graph(const std::string& name,
+                                 const sim::Protocol& proto,
+                                 const std::vector<std::uint32_t>& succ,
+                                 const std::vector<std::uint64_t>& perm) {
+  const std::string path = tdir(name) + "/state.bin";
+  const int n = proto.num_processes();
+  const std::size_t words =
+      static_cast<std::size_t>(n + proto.num_registers());
+  SectionWriter w(path);
+  w.begin("graph");
+  w.put_u32(static_cast<std::uint32_t>(n));
+  w.put_u32(static_cast<std::uint32_t>(words));
+  w.put_u8(perm.empty() ? 0 : 1);
+  w.put_u64(1);
+  const std::vector<sim::Value> node(words, 0);
+  w.put_bytes(node.data(), words * sizeof(sim::Value));
+  w.put_u8(0);
+  w.put_bytes(succ.data(), succ.size() * sizeof(std::uint32_t));
+  w.put_bytes(perm.data(), perm.size() * sizeof(std::uint64_t));
+  w.put_u64(0);
+  w.put_u64(0);
+  w.end();
+  w.finish();
+  return path;
+}
+
+void expect_graph_refused(const sim::Protocol& proto, const std::string& path,
+                          const std::string& why) {
+  sim::ReachGraph graph(proto, {});
+  SectionReader r(path);
+  try {
+    graph.restore(r);
+    ADD_FAILURE() << "a graph section with " << why << " was accepted";
+  } catch (const CheckpointInvalid& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+}
+
+TEST(GraphState, HostileSuccessorIdIsRefused) {
+  // Successor ids index the edge stores and the walk's visited marks: one
+  // past the node count (and not a sentinel) must stop at restore, not
+  // reach a multi-GiB resize or an index past the segment directory.
+  consensus::BallotConsensus proto(3, 6);
+  const std::string path = write_one_node_graph(
+      "hostile_succ", proto, {0xFFFFFFF0u, 0xFFFFFFFEu, sim::kNoConfig}, {});
+  expect_graph_refused(proto, path, "successor id");
+}
+
+TEST(GraphState, HostileEdgeRenamingIsRefused) {
+  // A renaming byte >= n would make ProcPerm::inverse() shift by 8 * 255.
+  consensus::RacingConsensus proto(
+      3, consensus::RacingConsensus::AdoptRule::kAtLeast);
+  const std::uint64_t identity = sim::ProcPerm::identity().packed();
+  const std::string path = write_one_node_graph(
+      "hostile_perm", proto, {0xFFFFFFFEu, 0xFFFFFFFEu, 0xFFFFFFFEu},
+      {(identity & ~0xFFull) | 0xFF, identity, identity});
+  expect_graph_refused(proto, path, "renaming");
 }
 
 TEST_F(AdversaryResumeTest, TornManifestIsRefused) {

@@ -53,13 +53,13 @@ TEST(ArenaSpill, SpilledSegmentsDecodeBitExact) {
   ASSERT_TRUE(arena.spill_needed(arena.size()));
   const std::size_t released = arena.maybe_spill(kNoConfig);
   EXPECT_GT(released, 0u);
-  EXPECT_GT(arena.spilled_segments(), 0u);
-  EXPECT_GT(arena.spilled_bytes(), 0u);
-  EXPECT_EQ(arena.spill_failures(), 0u);
+  EXPECT_GT(arena.store().spilled_segments(), 0u);
+  EXPECT_GT(arena.store().spilled_bytes(), 0u);
+  EXPECT_EQ(arena.store().spill_failures(), 0u);
   // Compression must beat the raw encoding on this correlated data.
-  EXPECT_LT(arena.spilled_bytes(),
-            arena.spilled_segments() * arena.segment_configs() * W *
-                sizeof(Value));
+  EXPECT_LT(arena.store().spilled_bytes(),
+            arena.store().spilled_segments() *
+                arena.store().segment_records() * W * sizeof(Value));
 
   for (std::uint64_t i = 0; i < 1000; ++i) {
     ASSERT_TRUE(arena.words_equal(arena.words(static_cast<ConfigId>(i)),
@@ -104,7 +104,7 @@ TEST(ArenaSpill, ClearRearmsSpilledSegmentsForReuse) {
   ASSERT_GT(arena.maybe_spill(kNoConfig), 0u);
   arena.clear();
   EXPECT_EQ(arena.size(), 0u);
-  EXPECT_EQ(arena.spilled_bytes(), 0u);
+  EXPECT_EQ(arena.store().spilled_bytes(), 0u);
 
   // Second generation with different contents: the re-armed segments must
   // hold and spill the new words correctly.

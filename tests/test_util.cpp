@@ -3,18 +3,23 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <set>
+#include <thread>
+#include <vector>
 
+#include "sim/config_arena.hpp"
 #include "util/huge_pages.hpp"
 #include "util/interner.hpp"
 #include "util/packing.hpp"
 #include "util/proc_set.hpp"
 #include "util/rng.hpp"
+#include "util/spill_store.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -294,6 +299,111 @@ TEST(Stats, Percentile) {
   EXPECT_DOUBLE_EQ(percentile(v, 0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(v, 100), 5.0);
   EXPECT_DOUBLE_EQ(percentile(v, 50), 3.0);
+}
+
+// --- SpillStore: the one segmented store -------------------------------------
+
+/// Deterministic record contents: mostly small, neighbour-correlated words
+/// (what the delta codec sees in practice) plus a wild one per record.
+sim::Value spill_word(std::size_t id, std::size_t j, std::uint64_t gen) {
+  if (j == 0) {
+    return static_cast<sim::Value>((id * 0x9E3779B97F4A7C15ull) ^ gen);
+  }
+  return static_cast<sim::Value>((id / 3 + j * 7 + gen) & 0x3F);
+}
+
+bool record_is(const sim::Value* rec, std::size_t stride, std::size_t id,
+               std::uint64_t gen) {
+  for (std::size_t j = 0; j < stride; ++j) {
+    if (rec[j] != spill_word(id, j, gen)) return false;
+  }
+  return true;
+}
+
+TEST(SpillStore, ConcurrentGrowthReadsSpillAndClear) {
+  // Four writers grow one store through 1000 tiny segments (four
+  // directory doublings) while reading each other's published records, then a
+  // quiescent spill must decode every record bit-exact, and a cleared
+  // store must serve a second generation.
+  constexpr std::size_t kStride = 5;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRecs = 64 * 1000;
+  spill::SpillStore<sim::Value> store;
+  store.init("test.spill", kStride, 0);
+  ASSERT_TRUE(store.set_spill(::testing::TempDir(), 64));
+  ASSERT_EQ(store.segment_records(), 64u);
+
+  std::atomic<std::size_t> written[kThreads] = {};
+  std::atomic<std::size_t> bad_reads{0};
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      std::size_t k = 0;
+      for (std::size_t id = t; id < kRecs; id += kThreads, ++k) {
+        store.ensure(id + 1);
+        sim::Value* rec = store.write_ptr(id);
+        for (std::size_t j = 0; j < kStride; ++j) rec[j] = spill_word(id, j, 1);
+        written[t].store(k + 1, std::memory_order_release);
+        const std::size_t u = (t + 1 + k) % kThreads;
+        const std::size_t done = written[u].load(std::memory_order_acquire);
+        if (done == 0) continue;
+        const std::size_t peer = u + kThreads * ((k * 31) % done);
+        if (!record_is(store.read(peer), kStride, peer, 1)) ++bad_reads;
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  EXPECT_EQ(bad_reads.load(), 0u);
+
+  const std::size_t resident = store.resident_bytes();
+  EXPECT_EQ(resident, kRecs * kStride * sizeof(sim::Value));
+  EXPECT_EQ(store.maybe_spill(0, kRecs), resident);
+  EXPECT_EQ(store.resident_bytes(), 0u);
+  EXPECT_EQ(store.spilled_segments(), kRecs / 64);
+  EXPECT_FALSE(store.spill_needed(0, kRecs));
+  for (std::size_t id = 0; id < kRecs; ++id) {
+    ASSERT_TRUE(record_is(store.read(id), kStride, id, 1)) << "id " << id;
+  }
+
+  store.clear();
+  EXPECT_EQ(store.spilled_bytes(), 0u);
+  EXPECT_EQ(store.mapped_bytes(), 0u);
+  EXPECT_EQ(store.resident_bytes(), resident);
+  for (std::size_t id = 0; id < kRecs; ++id) {
+    sim::Value* rec = store.write_ptr(id);
+    for (std::size_t j = 0; j < kStride; ++j) rec[j] = spill_word(id, j, 2);
+  }
+  EXPECT_TRUE(store.spill_needed(0, kRecs));
+  EXPECT_EQ(store.maybe_spill(resident / 2, kRecs), resident / 2);
+  for (std::size_t id = 0; id < kRecs; ++id) {
+    ASSERT_TRUE(record_is(store.read(id), kStride, id, 2)) << "id " << id;
+  }
+}
+
+TEST(SpillStore, StrideTwoParentRecordsRoundTripSentinels) {
+  // The parallel explorer's parent records: (parent id, via) as u32 pairs,
+  // with the root's (kNoConfig, -1) surviving both residency and spilling.
+  spill::SpillStore<std::uint32_t> store;
+  store.init("test.parents", 2, 0);
+  ASSERT_TRUE(store.set_spill(::testing::TempDir(), 64));
+  store.ensure(128);
+  for (std::uint32_t id = 0; id < 128; ++id) {
+    std::uint32_t* rec = store.write_ptr(id);
+    rec[0] = id == 0 ? sim::kNoConfig : id / 2;
+    rec[1] = id == 0 ? static_cast<std::uint32_t>(-1) : id % 3;
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::uint32_t* root = store.read(0);
+    EXPECT_EQ(root[0], sim::kNoConfig);
+    EXPECT_EQ(static_cast<std::int32_t>(root[1]), -1);
+    for (std::uint32_t id = 1; id < 128; ++id) {
+      EXPECT_EQ(store.read(id)[0], id / 2);
+      EXPECT_EQ(store.read(id)[1], id % 3);
+    }
+    if (pass == 0) {
+      ASSERT_GT(store.maybe_spill(0, 128), 0u);
+    }
+  }
 }
 
 }  // namespace
