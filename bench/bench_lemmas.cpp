@@ -3,15 +3,19 @@
 // invocations, D_i chain lengths, valency queries and cache behaviour,
 // shared-subgraph reuse and expansion throughput, schedule lengths). Each
 // row is the median wall clock of three identical campaigns, whose counts
-// must agree.
+// must agree. The n = 5 forced-spill row also commits one real checkpoint
+// of its engine and reports the write rate (ckpt_mb_s).
 //
 // Usage: bench_lemmas [--no-reuse] [--json=FILE] [max_n]
 //   --no-reuse   run the oracle's fresh-BFS-per-query backend (A/B anchor)
 //   --json=FILE  machine-readable per-n rows for tools/check_perf.py
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -21,6 +25,7 @@
 #include "consensus/ballot.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
+#include "util/checkpoint.hpp"
 #include "util/table.hpp"
 
 using namespace tsb;
@@ -64,6 +69,43 @@ Timed run_timed(const sim::Protocol& proto,
   std::sort(secs.begin(), secs.end());
   t.seconds = secs[secs.size() / 2];
   return t;
+}
+
+/// One checkpoint of a forced-spill campaign's engine, committed through
+/// the CheckpointService exactly as `tsb adversary --checkpoint-dir` does.
+struct CkptLeg {
+  std::uint64_t writes = 0;
+  std::uint64_t bytes = 0;
+  double mb_s = 0;  ///< state-file bytes / write wall clock (incl. fsync)
+};
+
+/// Walk steps between checkpoints for the n = 5 leg: the campaign polls
+/// about 250 000 walk steps in all, so exactly one checkpoint lands about
+/// 60% into the walk, with node and edge segments on disk.
+constexpr std::uint64_t kCkptEvery = 150'000;
+
+CkptLeg run_checkpointed(const sim::Protocol& proto,
+                         bound::SpaceBoundAdversary::Options opts) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("bench_lemmas_ckpt_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  auto& svc = util::ckpt::CheckpointService::global();
+  svc.reset();
+  opts.checkpoint_dir = dir.string();
+  opts.checkpoint_every = kCkptEvery;
+  bound::SpaceBoundAdversary adversary(proto, opts);
+  const auto result = adversary.run();
+  CkptLeg leg;
+  if (result.ok) {
+    leg.writes = svc.checkpoints_written();
+    leg.bytes = svc.bytes_written();
+    const double s = static_cast<double>(svc.write_us_total()) / 1e6;
+    leg.mb_s = s > 0 ? static_cast<double>(leg.bytes) / 1e6 / s : 0.0;
+  }
+  svc.reset();
+  fs::remove_all(dir);
+  return leg;
 }
 
 double percent(std::uint64_t part, std::uint64_t whole) {
@@ -115,7 +157,7 @@ int main(int argc, char** argv) {
 
   // One table row and one JSON row per measured campaign.
   const auto emit = [&](int n, int spill, const Timed& t, double hit_rate,
-                        double reuse_rate) {
+                        double reuse_rate, const CkptLeg* ckpt = nullptr) {
     const auto& r = t.result;
     const auto& ls = r.lemma_stats;
     const double eps = t.seconds > 0
@@ -137,6 +179,11 @@ int main(int argc, char** argv) {
          << ",\"reuse_rate\":" << reuse_rate
          << ",\"expanded_per_sec\":" << eps;
     if (spill != 0) json << ",\"graph_spill\":" << r.graph_spilled_bytes;
+    if (ckpt != nullptr) {
+      json << ",\"ckpt_writes\":" << ckpt->writes
+           << ",\"ckpt_bytes\":" << ckpt->bytes
+           << ",\"ckpt_mb_s\":" << ckpt->mb_s;
+    }
     json << ",\"cert_steps\":" << r.certificate.schedule.size()
          << ",\"seconds\":" << t.seconds << "}";
   };
@@ -210,10 +257,23 @@ int main(int argc, char** argv) {
                   << " forced-spill run never pushed edge bytes to disk\n";
         rc = 1;
       }
+      CkptLeg ckpt;
+      if (n == 5) {
+        ckpt = run_checkpointed(proto, sopts);
+        std::cout << "n = 5 (spill) checkpoint: " << ckpt.writes
+                  << " write(s), " << ckpt.bytes << " bytes, " << ckpt.mb_s
+                  << " MB/s\n";
+        if (ckpt.writes != 1) {
+          std::cout << "FAIL: n = 5 checkpoint leg wrote " << ckpt.writes
+                    << " checkpoints, expected exactly 1\n";
+          rc = 1;
+        }
+      }
       emit(n, 1, spilled_run,
            percent(spilled.valency_cache_hits, spilled.valency_queries),
            percent(spilled.reach_reused,
-                   spilled.reach_expanded + spilled.reach_reused));
+                   spilled.reach_expanded + spilled.reach_reused),
+           n == 5 ? &ckpt : nullptr);
     }
   }
   table.print(std::cout, "lemma machinery cost profile");

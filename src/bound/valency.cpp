@@ -32,6 +32,26 @@ void audit_query(const char* op, sim::ConfigId root, ProcSet p, Value v,
   }
   obs::audit_sink().write(ev.render());
 }
+
+/// A pass that hit the per-query visited cap with a value still unresolved
+/// cannot answer that value: a negative would be unsound, and a
+/// construction built on it fails some later lemma precondition for a
+/// reason that has nothing to do with the protocol. Stop on the budget
+/// path instead (exit 4 at the CLI), naming the cap to raise.
+void refuse_truncated(bool truncated, const bool can[2], ProcSet p,
+                      std::size_t cap) {
+  if (!truncated || (can[0] && can[1])) return;
+  std::string procs;
+  for (const int q : p.to_vector()) {
+    procs += (procs.empty() ? "p" : ",p") + std::to_string(q);
+  }
+  throw util::BudgetExhausted(
+      "valency query on P = {" + procs + "} hit --valency-cap=" +
+      std::to_string(cap) + " visited configurations with " +
+      (can[0] ? "value 1" : can[1] ? "value 0" : "values 0 and 1") +
+      " undetermined; a negative answer would be unsound (raise "
+      "--valency-cap)");
+}
 }  // namespace
 
 std::size_t ValencyOracle::PairKeyHash::operator()(const PairKey& k) const {
@@ -171,7 +191,7 @@ ValencyOracle::PairAnswer ValencyOracle::compute_pair_shared(const Config& c,
   sim::ProcPerm perm;
   sim::ReachGraph::QueryResult qr = graph_->query(c, p, &perm);
   last_perm_ = perm;
-  if (qr.truncated) ever_truncated_ = true;
+  refuse_truncated(qr.truncated, qr.can, p, opts_.max_configs);
 
   PairAnswer answer;
   bool replay_ok = true;
@@ -246,8 +266,8 @@ ValencyOracle::PairAnswer ValencyOracle::compute_pair(const Config& c,
   PairAnswer answer;
   auto finish = [&](auto& explorer, const sim::ExploreResult& res) {
     // A truncated pass can only under-report; positive answers found
-    // before the cap are still sound. A *budget* truncation with a value
-    // still unresolved must not produce a negative answer at all — the
+    // before the cap are still sound. A truncation with a value still
+    // unresolved must not produce a negative answer at all — the
     // graceful-degradation contract is a distinct failure, not a verdict.
     if (res.budget_exhausted &&
         (found[0] == sim::kNoConfig || found[1] == sim::kNoConfig)) {
@@ -255,7 +275,9 @@ ValencyOracle::PairAnswer ValencyOracle::compute_pair(const Config& c,
           "valency query exceeded its memory/time budget with a value "
           "undetermined; negative answers would be unsound");
     }
-    if (res.truncated) ever_truncated_ = true;
+    const bool can[2] = {found[0] != sim::kNoConfig,
+                         found[1] != sim::kNoConfig};
+    refuse_truncated(res.truncated, can, p, opts_.max_configs);
     for (int v = 0; v < 2; ++v) {
       if (found[v] == sim::kNoConfig) continue;
       answer.can[v] = true;
@@ -318,10 +340,10 @@ void ValencyOracle::save_state(util::ckpt::SectionWriter& w) const {
   const std::size_t W = roots_.words_per_config();
   const std::size_t count = roots_.size();
   w.put_u64(count);
-  for (std::size_t id = 0; id < count; ++id) {
-    w.put_bytes(roots_.words(static_cast<sim::ConfigId>(id)),
-                W * sizeof(sim::Value));
-  }
+  roots_.store().for_each_run(
+      count, [&](const sim::Value* recs, std::size_t nrecs) {
+        w.put_bytes(recs, nrecs * W * sizeof(sim::Value));
+      });
   w.end();
 
   w.begin("memo");

@@ -55,6 +55,9 @@ using sim::Value;
 class ValencyOracle {
  public:
   struct Options {
+    /// Per-query visited cap (the CLI's --valency-cap). A query that hits
+    /// it with a value unresolved throws util::BudgetExhausted: its
+    /// negative answer would be unsound.
     std::size_t max_configs = 2'000'000;
     /// Worker threads for the reuse = false backend: > 1 switches each
     /// fresh-BFS pass to the ParallelExplorer (with its default
@@ -124,11 +127,6 @@ class ValencyOracle {
   /// before memoization.
   std::optional<Schedule> deciding_schedule(const Config& c, ProcSet p,
                                             Value v);
-
-  /// True if any reachability query ever hit the configuration cap with an
-  /// undetermined value, which would make a negative answer unsound. The
-  /// adversary asserts this stays false.
-  bool ever_truncated() const { return ever_truncated_; }
 
   std::size_t queries() const { return queries_; }
   std::size_t cache_hits() const { return cache_hits_; }
@@ -237,7 +235,6 @@ class ValencyOracle {
   std::unique_ptr<sim::ReachGraph> graph_;    ///< reuse = true backend
   std::chrono::steady_clock::time_point deadline_ =
       std::chrono::steady_clock::time_point::max();
-  bool ever_truncated_ = false;
   std::size_t queries_ = 0;
   std::size_t cache_hits_ = 0;
   std::size_t explorations_ = 0;

@@ -27,6 +27,16 @@ bool is_renaming(ProcPerm pi, int n) {
   return seen == 0xFFu;
 }
 
+/// Records [0, count) of `store` (`stride` words each) as raw payload bytes.
+template <class W>
+void put_records(util::ckpt::SectionWriter& w,
+                 const util::spill::SpillStore<W>& store, std::size_t count,
+                 std::size_t stride) {
+  store.for_each_run(count, [&](const W* recs, std::size_t nrecs) {
+    w.put_bytes(recs, nrecs * stride * sizeof(W));
+  });
+}
+
 }  // namespace
 
 // -------------------------------------------------------------- ReachGraph
@@ -120,26 +130,14 @@ void ReachGraph::save(util::ckpt::SectionWriter& w) const {
   w.put_u8(sym_ ? 1 : 0);
   const std::size_t count = arena_.size();
   w.put_u64(count);
-  // Logical node words in id order; arena_.words() decodes spilled
-  // segments transparently, so the checkpoint is independent of which
-  // segments happen to be on disk at write time. The edge stores stream
-  // record by record through read() for the same reason: a checkpoint
-  // taken while edge segments sit on disk is byte-identical to one taken
-  // fully resident.
-  for (std::size_t id = 0; id < count; ++id) {
-    w.put_bytes(arena_.words(static_cast<ConfigId>(id)),
-                words_ * sizeof(Value));
-  }
-  for (std::size_t id = 0; id < count; ++id) w.put_bytes(flags_.read(id), 1);
-  for (std::size_t id = 0; id < count; ++id) {
-    w.put_bytes(succ_.read(id), static_cast<std::size_t>(n_) * sizeof(ConfigId));
-  }
-  if (sym_) {
-    for (std::size_t id = 0; id < count; ++id) {
-      w.put_bytes(perm_.read(id),
-                  static_cast<std::size_t>(n_) * sizeof(std::uint64_t));
-    }
-  }
+  // Each store's records [0, count) in id order, one put per segment.
+  // Spilled segments decode to the words read() would return, so the
+  // checkpoint is independent of which segments sit on disk at write time:
+  // a dump with segments spilled is byte-identical to one taken resident.
+  put_records(w, arena_.store(), count, words_);
+  put_records(w, flags_, count, 1);
+  put_records(w, succ_, count, static_cast<std::size_t>(n_));
+  if (sym_) put_records(w, perm_, count, static_cast<std::size_t>(n_));
   w.put_u64(edges_expanded_);
   w.put_u64(edges_reused_);
   w.end();

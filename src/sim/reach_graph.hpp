@@ -66,7 +66,7 @@ class ReachGraph {
  public:
   struct Options {
     /// Per-query visited cap (BFS entries); hitting it truncates the query
-    /// (negative answers unsound — callers surface ever_truncated).
+    /// (negative answers unsound — the valency oracle refuses them).
     std::size_t max_configs = 2'000'000;
     /// Whole-engine heap budget (0 = uncapped). Unlike the fresh-BFS
     /// explorers this is cumulative across queries — the shared graph is

@@ -71,44 +71,50 @@ void fsync_dir_of(const std::string& path) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
-  static const std::uint32_t* table = [] {
-    static std::uint32_t t[256];
+  // t[0] is the bytewise table; t[k][i] is the CRC of byte i followed by k
+  // zero bytes, so one 8-byte word folds in with eight independent lookups.
+  using Tables = std::uint32_t[8][256];
+  static const Tables& t = *[] {
+    static Tables tab;
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      tab[0][i] = c;
     }
-    return t;
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        tab[k][i] = (tab[k - 1][i] >> 8) ^ tab[0][tab[k - 1][i] & 0xFF];
+      }
+    }
+    return &tab;
   }();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const std::uint32_t lo = c ^ rd32(p);
+    const std::uint32_t hi = rd32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
+  for (; len > 0; ++p, --len) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
 // --- SectionWriter ---------------------------------------------------------
 
 SectionWriter::SectionWriter(const std::string& path)
-    : path_(path), tmp_(path + ".tmp") {
+    : path_(path),
+      tmp_(path + ".tmp"),
+      buf_(std::make_unique<std::uint8_t[]>(kBufferBytes)) {
   fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd_ < 0) fail("open " + tmp_);
   std::uint8_t hdr[sizeof(kMagic) + 4];
   std::memcpy(hdr, kMagic, sizeof(kMagic));
   le32(hdr + sizeof(kMagic), kFormatVersion);
-  try {
-    raw(hdr, sizeof(hdr));
-  } catch (...) {
-    // A throwing constructor never runs the destructor: close and unlink
-    // here or a full-disk failure leaks the fd and a stray tmp file.
-    ::close(fd_);
-    ::unlink(tmp_.c_str());
-    fd_ = -1;
-    throw;
-  }
+  raw(hdr, sizeof(hdr));  // lands in the empty buffer: no syscall, no throw
 }
 
 SectionWriter::~SectionWriter() {
@@ -127,8 +133,26 @@ void SectionWriter::fail(const std::string& what) {
 }
 
 void SectionWriter::raw(const void* data, std::size_t len) {
-  if (!iofault::write_full(fd_, data, len)) fail("write " + tmp_);
+  if (len == 0) return;  // an empty put may pass a null pointer
   total_ += len;
+  if (len <= kBufferBytes - buffered_) {
+    std::memcpy(buf_.get() + buffered_, data, len);
+    buffered_ += len;
+    return;
+  }
+  flush();
+  if (len < kBufferBytes) {
+    std::memcpy(buf_.get(), data, len);
+    buffered_ = len;
+  } else if (!iofault::write_full(fd_, data, len)) {
+    fail("write " + tmp_);
+  }
+}
+
+void SectionWriter::flush() {
+  if (buffered_ == 0) return;
+  if (!iofault::write_full(fd_, buf_.get(), buffered_)) fail("write " + tmp_);
+  buffered_ = 0;
 }
 
 void SectionWriter::begin(const std::string& name) {
@@ -173,6 +197,7 @@ void SectionWriter::put_str(const std::string& s) {
 
 void SectionWriter::end() {
   TSB_REQUIRE(in_section_, "checkpoint end without begin");
+  flush();  // the placeholder must be on disk before pwrite overwrites it
   std::uint8_t hdr[12];
   le64(hdr, sec_len_);
   le32(hdr + 8, sec_crc_);
@@ -190,6 +215,7 @@ void SectionWriter::finish() {
   // truncated exactly at a section boundary".
   std::uint8_t sentinel[4 + 12] = {};
   raw(sentinel, sizeof(sentinel));
+  flush();
   if (iofault::fsync(fd_) != 0) fail("fsync " + tmp_);
   if (::close(fd_) != 0) {
     // fd_ is dead either way, so the destructor won't run the unlink:
@@ -510,7 +536,7 @@ void CheckpointService::reset() {
   ever_wrote_ = false;
   writes_.store(0, std::memory_order_relaxed);
   bytes_.store(0, std::memory_order_relaxed);
-  write_ms_.store(0, std::memory_order_relaxed);
+  write_us_.store(0, std::memory_order_relaxed);
   active_.store(false, std::memory_order_relaxed);
   in_write_.store(false, std::memory_order_relaxed);
   stop_requested_.store(false, std::memory_order_relaxed);
@@ -651,12 +677,13 @@ void CheckpointService::write_now(const char* why) {
     last_write_ = std::chrono::steady_clock::now();
     ever_wrote_ = true;
 
-    ms = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(last_write_ - t0)
+    const auto us = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(last_write_ - t0)
             .count());
+    ms = us / 1000;
     writes_.fetch_add(1, std::memory_order_relaxed);
     bytes_.fetch_add(state_bytes, std::memory_order_relaxed);
-    write_ms_.fetch_add(ms, std::memory_order_relaxed);
+    write_us_.fetch_add(us, std::memory_order_relaxed);
   }
 
   obs::MemLedger::global().set(obs::MemAccount::kCkptState, state_bytes);
@@ -672,8 +699,7 @@ void CheckpointService::write_now(const char* why) {
         .num("ms", static_cast<std::int64_t>(ms))
         .num("total_writes",
              static_cast<std::int64_t>(writes_.load(std::memory_order_relaxed)))
-        .num("total_ms", static_cast<std::int64_t>(
-                             write_ms_.load(std::memory_order_relaxed)));
+        .num("total_ms", static_cast<std::int64_t>(write_ms_total()));
     obs::stats_sink().write(rec.render());
   }
 }

@@ -238,8 +238,9 @@ class BackingFile {
 ///    retired total at one extra copy of the final directory). A reader
 ///    can only reach a record it was handed after the record's segment was
 ///    published, because the id handoff happens-after the publication.
-///  * maybe_spill(), clear() and write_ptr() on a spilled record (fault-in)
-///    run at quiescent points only: no other thread touches the store.
+///  * maybe_spill(), clear(), for_each_run() and write_ptr() on a spilled
+///    record (fault-in) run at quiescent points only: no other thread
+///    touches the store.
 ///
 /// A directory entry holds the resident data pointer itself (null once the
 /// segment is spilled), so a resident read is two dependent loads.
@@ -312,6 +313,29 @@ class SpillStore {
     const W* d = s.data.load(std::memory_order_acquire);
     if (d != nullptr) [[likely]] return d + (idx & mask_) * stride_;
     return decode_tls(*s.seg, idx & mask_);
+  }
+
+  /// Visit records [0, count) in id order, one call f(recs, nrecs) per
+  /// segment with `nrecs` whole records of `stride` words each. A resident
+  /// segment is handed over in place; a spilled one is decoded once, whole,
+  /// into a scratch buffer (valid until the next call) and stays spilled.
+  /// The checkpoint dump path: one sequential pass, no per-record decode.
+  /// Quiescent points only.
+  template <class F>
+  void for_each_run(std::size_t count, F&& f) const {
+    TSB_REQUIRE(count <= cap_.load(std::memory_order_acquire),
+                "SpillStore::for_each_run past the published records");
+    const Slot* dir = dir_.load(std::memory_order_acquire);
+    std::vector<W> scratch;
+    for (std::size_t i = 0, at = 0; at < count; ++i, at += seg_recs_) {
+      const W* recs = dir[i].data.load(std::memory_order_acquire);
+      if (recs == nullptr) {
+        scratch.resize(seg_recs_ * stride_);
+        decode_all<W>(dir[i].seg->blk.map, seg_recs_, stride_, scratch.data());
+        recs = scratch.data();
+      }
+      f(recs, std::min(seg_recs_, count - at));
+    }
   }
 
   /// Writable pointer to a record; faults its segment in if it was spilled

@@ -145,8 +145,28 @@ TEST(Adversary, ValencyOracleStaysExact) {
   const auto result = adversary.run();
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_GT(result.valency_queries, 0u);
-  // The run() contract: a truncated oracle is reported as an error, so an
+  // The run() contract: a truncated valency query stops the run, so an
   // ok result implies every valency answer was exact.
+}
+
+TEST(Adversary, TruncatedValencyQueryIsABudgetStopOnBothBackends) {
+  // A 200-configuration cap truncates n = 4 queries with a value still
+  // unresolved. Such a negative answer is unsound, so the run must stop on
+  // the budget path naming the cap, not go on to "refute" a lemma
+  // precondition with it.
+  BallotConsensus proto(4, 8);
+  for (const bool reuse : {true, false}) {
+    SCOPED_TRACE(reuse ? "shared engine" : "fresh BFS");
+    SpaceBoundAdversary::Options opts;
+    opts.valency_max_configs = 200;
+    opts.reuse = reuse;
+    SpaceBoundAdversary adversary(proto, opts);
+    const auto result = adversary.run();
+    EXPECT_FALSE(result.ok);
+    EXPECT_TRUE(result.budget_exhausted) << result.error;
+    EXPECT_NE(result.error.find("--valency-cap=200"), std::string::npos)
+        << result.error;
+  }
 }
 
 }  // namespace

@@ -110,6 +110,45 @@ TEST(Crc32, KnownAnswerAndSeedChaining) {
   EXPECT_EQ(util::ckpt::crc32("", 0), 0u);
 }
 
+/// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+/// sliced implementation must reproduce.
+std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicedMatchesBitwiseAtEveryLengthAndAlignment) {
+  // Lengths 0..257 cover the empty input, every tail length after the
+  // 8-byte main loop, and several whole words; start offsets 0..7 cover
+  // every alignment of those words.
+  std::vector<std::uint8_t> buf(8 + 257);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const std::uint8_t* p = buf.data() + off;
+      const std::uint32_t want = crc32_bitwise(p, len);
+      ASSERT_EQ(util::ckpt::crc32(p, len), want)
+          << "offset " << off << " length " << len;
+      // Seed chaining is what the writer's per-put folding relies on:
+      // every split point must give the one-pass value.
+      for (std::size_t cut = 0; cut <= len; ++cut) {
+        ASSERT_EQ(util::ckpt::crc32(p + cut, len - cut,
+                                    util::ckpt::crc32(p, cut)),
+                  want)
+            << "offset " << off << " length " << len << " split " << cut;
+      }
+    }
+  }
+}
+
 // --- Section file format ---------------------------------------------------
 
 TEST(SectionFile, RoundtripAllPutGetKinds) {
@@ -293,6 +332,62 @@ TEST_F(IoFaultTest, ShortWriteDeviceFailsWriterWithBudgetExhausted) {
   util::iofault::arm(util::iofault::Kind::kShortWrite, 1);
   EXPECT_THROW(write_sample(path), BudgetExhausted);
   EXPECT_GE(util::iofault::fired(), 1u);
+}
+
+TEST_F(IoFaultTest, FaultOnABufferedFlushFailsCleanly) {
+  // The writer buffers, so its write-shaped syscalls are the flushes. For
+  // write_sample: #1 is the flush before end()'s backpatch, #2 the
+  // backpatch pwrite, #3 the flush before finish()'s fsync. For a payload
+  // larger than the buffer, #1 is the flush of the full buffer. A fault on
+  // any of them must throw BudgetExhausted and leave neither the state
+  // file nor its .tmp.
+  const auto write_big = [](const std::string& path) {
+    SectionWriter w(path);
+    w.begin("big");
+    const std::vector<std::uint8_t> chunk(4096, 0xA5);
+    for (std::size_t put = 0; put < 3 * SectionWriter::kBufferBytes;
+         put += chunk.size()) {
+      w.put_bytes(chunk.data(), chunk.size());
+    }
+    w.end();
+    w.finish();
+  };
+  struct Case {
+    const char* what;
+    int countdown;
+    bool big;
+  };
+  const Case cases[] = {{"flush in end()", 1, false},
+                        {"flush in finish()", 3, false},
+                        {"flush of a full buffer", 1, true}};
+  for (const util::iofault::Kind kind :
+       {util::iofault::Kind::kEnospc, util::iofault::Kind::kShortWrite}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(util::iofault::kind_name(kind)) + " on the " +
+                   c.what);
+      const std::string path = tdir("flush_fault") + "/state.bin";
+      util::iofault::arm(kind, c.countdown);
+      if (c.big) {
+        EXPECT_THROW(write_big(path), BudgetExhausted);
+      } else {
+        EXPECT_THROW(write_sample(path), BudgetExhausted);
+      }
+      EXPECT_GE(util::iofault::fired(), 1u);
+      util::iofault::disarm();
+      EXPECT_FALSE(fs::exists(path)) << "failed write must not commit";
+      EXPECT_FALSE(fs::exists(path + ".tmp")) << "tmp must be cleaned up";
+    }
+  }
+  // The countdowns above land where the comment says: with the fault
+  // disarmed, exactly three write-shaped calls make the whole sample file.
+  const std::string path = tdir("flush_count") + "/state.bin";
+  util::iofault::arm(util::iofault::Kind::kEintr, 4);
+  write_sample(path);
+  EXPECT_EQ(util::iofault::fired(), 0u) << "sample made more than 3 writes";
+  util::iofault::disarm();
+  util::iofault::arm(util::iofault::Kind::kEintr, 3);
+  write_sample(path);
+  EXPECT_EQ(util::iofault::fired(), 1u) << "sample made fewer than 3 writes";
 }
 
 TEST_F(IoFaultTest, EintrIsRetriedToSuccess) {

@@ -6,8 +6,9 @@
 //   * a forced-spill campaign produces the IDENTICAL verdict, certificate,
 //     and expansion count as the fully-resident run, at any thread count
 //     (the shared engine runs on one thread whatever `threads` says);
-//   * a checkpoint taken while edge segments are on disk restores into a
-//     warm oracle that answers without re-exploration;
+//   * a checkpoint taken while edge segments are on disk is byte-identical
+//     to one taken fully resident, restores into a warm oracle that
+//     answers without re-exploration, and resumes to the same certificate;
 //   * a write failure on an edge-segment append degrades to
 //     util::BudgetExhausted (the CLI's exit-4 path) and leaves no debris —
 //     backing files are unlinked at creation, so a fault can strand nothing.
@@ -15,6 +16,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "bound/adversary.hpp"
 #include "bound/valency.hpp"
 #include "consensus/ballot.hpp"
+#include "consensus/racing.hpp"
 #include "sim/engine.hpp"
 #include "util/checkpoint.hpp"
 #include "util/iofault.hpp"
@@ -157,6 +160,134 @@ TEST(GraphSpillCheckpoint, SaveWithEdgesOnDiskRestoresWarmAndSpilled) {
   EXPECT_EQ(b.can_decide(init, everyone, 0), can0);
   EXPECT_EQ(b.explorations(), 0u)
       << "restored spilled state missed the memo and re-explored";
+}
+
+// --- Byte identity across spill states --------------------------------------
+
+std::vector<char> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::vector<char>(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+}
+
+std::string save_to(const bound::ValencyOracle& oracle,
+                    const std::string& path) {
+  SectionWriter w(path);
+  oracle.save_state(w);
+  w.finish();
+  return path;
+}
+
+/// A fixed query sequence: both-value queries for every prefix set along
+/// a round-robin walk from a mixed-input initial configuration.
+void drive(bound::ValencyOracle& oracle, const sim::Protocol& proto) {
+  const int n = proto.num_processes();
+  std::vector<sim::Value> inputs(static_cast<std::size_t>(n), 1);
+  inputs[0] = 0;
+  sim::Config c = sim::initial_config(proto, inputs);
+  for (int step = 0; step < 3 * n; ++step) {
+    for (int k = 1; k <= n; ++k) {
+      (void)oracle.bivalent(c, sim::ProcSet::first_n(k));
+    }
+    c = sim::step(proto, c, step % n);
+  }
+}
+
+TEST(GraphSpillCheckpoint, SpilledDumpIsByteIdenticalToResident) {
+  // 64-record segments with a partial tail: the dump walks resident
+  // segments in place, decodes spilled ones whole, and stops mid-segment.
+  // Racing is symmetric, so its renaming store is dumped too.
+  consensus::BallotConsensus ballot(4, 8);
+  consensus::RacingConsensus racing(3);
+  for (const sim::Protocol* proto :
+       {static_cast<const sim::Protocol*>(&ballot),
+        static_cast<const sim::Protocol*>(&racing)}) {
+    SCOPED_TRACE(proto->name());
+    bound::ValencyOracle resident(*proto);
+    bound::ValencyOracle spilled(*proto, spill_opts(tdir("ident_spill")));
+    drive(resident, *proto);
+    drive(spilled, *proto);
+    ASSERT_EQ(spilled.graph_nodes(), resident.graph_nodes());
+    ASSERT_GT(spilled.graph_spilled_bytes(), 0u)
+        << "forced spill never engaged; identity would be vacuous";
+    ASSERT_NE(spilled.graph_nodes() % 64, 0u)
+        << "no partial tail segment; pick a different query sequence";
+    ASSERT_GT(spilled.graph_nodes(), 4u * 64) << "too few segments";
+    const std::string dir = tdir("ident_files");
+    const auto a = slurp(save_to(resident, dir + "/resident.bin"));
+    const auto b = slurp(save_to(spilled, dir + "/spilled.bin"));
+    EXPECT_EQ(a.size(), b.size());
+    EXPECT_TRUE(a == b) << "spilled dump differs from the resident dump";
+
+    // The spilled dump restores into a warm spilled oracle.
+    bound::ValencyOracle back(*proto, spill_opts(tdir("ident_back")));
+    {
+      SectionReader r(dir + "/spilled.bin");
+      back.restore_state(r);
+      r.expect_end();
+    }
+    drive(back, *proto);
+    EXPECT_EQ(back.explorations(), 0u) << "restored state re-explored";
+  }
+}
+
+TEST(GraphSpillCheckpoint, SpilledCheckpointMatchesResidentAndResumes) {
+  // The same through the adversary: a run stopped after a fixed number of
+  // quiescent polls commits the same state file resident or spilled, and
+  // the spilled one resumes to the uninterrupted run's certificate.
+  consensus::BallotConsensus ballot(4, 8);
+  consensus::RacingConsensus racing(
+      3, consensus::RacingConsensus::AdoptRule::kAtLeast);
+  auto& svc = util::ckpt::CheckpointService::global();
+  for (const sim::Protocol* proto :
+       {static_cast<const sim::Protocol*>(&ballot),
+        static_cast<const sim::Protocol*>(&racing)}) {
+    SCOPED_TRACE(proto->name());
+    const auto run = [&](bool spill, const std::string& ckpt_dir, bool resume,
+                         std::uint64_t stop_polls) {
+      bound::SpaceBoundAdversary::Options opts;
+      if (spill) {
+        opts.spill_dir = tdir("resume_spill");
+        opts.spill_threshold_bytes = 1;
+        opts.spill_seg_configs = 64;
+      }
+      opts.checkpoint_dir = ckpt_dir;
+      opts.resume = resume;
+      svc.reset();
+      svc.stop_after_polls(stop_polls);
+      bound::SpaceBoundAdversary adversary(*proto, opts);
+      auto result = adversary.run();
+      svc.reset();
+      return result;
+    };
+    const auto state_of = [](const std::string& dir) {
+      const auto m = util::ckpt::Manifest::load(util::ckpt::manifest_path(dir));
+      return util::ckpt::state_path(dir, m.get_u64("generation"));
+    };
+    const auto baseline = run(false, "", false, 0);
+    ASSERT_TRUE(baseline.ok) << baseline.error;
+    // Ten polls: about 2 000-3 000 graph nodes, dozens of 64-record
+    // segments, partial tail included, well before either run finishes.
+    const std::uint64_t polls = 10;
+    const std::string res_dir = tdir("resume_res");
+    const std::string spl_dir = tdir("resume_spl");
+    ASSERT_TRUE(run(false, res_dir, false, polls).stopped);
+    ASSERT_TRUE(run(true, spl_dir, false, polls).stopped);
+    EXPECT_TRUE(slurp(state_of(res_dir)) == slurp(state_of(spl_dir)))
+        << "spilled checkpoint differs from the resident one";
+    {
+      bound::ValencyOracle probe(*proto, spill_opts(tdir("resume_probe")));
+      SectionReader r(state_of(spl_dir));
+      probe.restore_state(r);
+      EXPECT_GT(probe.graph_nodes(), 16u * 64) << "stopped too early";
+      EXPECT_NE(probe.graph_nodes() % 64, 0u) << "no partial tail segment";
+    }
+    const auto resumed = run(true, spl_dir, true, 0);
+    ASSERT_TRUE(resumed.ok) << resumed.error;
+    expect_same_certificate(baseline, resumed);
+    EXPECT_EQ(resumed.reach_expanded, baseline.reach_expanded);
+  }
 }
 
 // --- Hostile I/O ------------------------------------------------------------

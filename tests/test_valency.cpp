@@ -25,7 +25,6 @@ TEST_P(ValencyTest, Proposition2HoldsAtInitialConfiguration) {
   EXPECT_TRUE(oracle.univalent_on(init, ProcSet::single(1), 1));
   EXPECT_TRUE(oracle.bivalent(init, ProcSet::single(0).with(1)));
   EXPECT_TRUE(oracle.bivalent(init, ProcSet::first_n(n())));
-  EXPECT_FALSE(oracle.ever_truncated());
 }
 
 TEST_P(ValencyTest, UniformInputsAreUnivalent) {

@@ -77,6 +77,25 @@ class CompareTest(unittest.TestCase):
         _, failures = check_perf.compare(base, ok, tolerance=25)
         self.assertEqual(failures, [])
 
+    def test_lemmas_checkpoint_rate_is_gated(self):
+        base = doc([{"n": 5, "spill": 1, "expanded": 753357,
+                     "ckpt_bytes": 17867711, "ckpt_mb_s": 400.0}],
+                   bench="lemmas")
+        slow = doc([{"n": 5, "spill": 1, "expanded": 753357,
+                     "ckpt_bytes": 17867711, "ckpt_mb_s": 100.0}],
+                   bench="lemmas")
+        rows, failures = check_perf.compare(base, slow, tolerance=25)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("ckpt_mb_s", failures[0])
+        statuses = {key: s for _, key, *_, s in rows}
+        self.assertEqual(statuses["ckpt_mb_s"], "FAIL")
+        self.assertEqual(statuses["ckpt_bytes"], "ungated")
+        ok = doc([{"n": 5, "spill": 1, "expanded": 753357,
+                   "ckpt_bytes": 17867711, "ckpt_mb_s": 320.0}],
+                 bench="lemmas")
+        _, failures = check_perf.compare(base, ok, tolerance=25)
+        self.assertEqual(failures, [])
+
     def test_retired_fact_columns_are_not_gated(self):
         base = doc([{"n": 5, "spill": 0, "expanded": 10,
                      "fact_answers": 1, "fact_subsumed": 3}], bench="lemmas")

@@ -44,7 +44,8 @@
 //                    --stats when that sink is open
 //   --profile-hz=HZ  sampling rate (default 200)
 //   --once           tsb top: render one frame and exit (CI-friendly)
-//   --valency-cap=N  valency oracle configuration cap (adversary only)
+//   --valency-cap=N  valency oracle per-query configuration cap (adversary
+//                    only); a query that hits it undecided exits 4
 //   --threads=N      exploration worker threads for `check` and for
 //                    `adversary --no-reuse` (the shared valency engine
 //                    runs on one thread); 0 = all hardware threads;
@@ -98,7 +99,8 @@
 //   1  violation / failed construction / report inconsistency
 //   2  usage error: unknown subcommand, unknown protocol, bad flag
 //   3  chaos campaign clean of violations but some runs timed out
-//   4  budget exhausted (adversary stopped by --mem-budget/--time-budget-ms)
+//   4  budget exhausted (adversary stopped by --mem-budget/--time-budget-ms,
+//      or a valency query truncated at --valency-cap)
 //   5  checkpointed and stopped (SIGTERM/SIGINT at a quiescent point after
 //      a final checkpoint; resume later with `tsb resume DIR`)
 //   6  checkpoint refused (bad CRC, truncated section, format version or
